@@ -20,7 +20,7 @@ bool Adversary::TryInjectOne(Round round,
                              std::vector<txn::Transaction>* out) {
   for (std::uint32_t attempt = 0; attempt < config_.max_blocked_attempts;
        ++attempt) {
-    Candidate candidate;
+    Candidate& candidate = candidate_;
     if (!strategy_->Next(round, rng_, &candidate)) return false;
     const std::vector<ShardId> touched = candidate.TouchedShards(*map_);
     SSHARD_CHECK(!touched.empty());

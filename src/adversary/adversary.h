@@ -88,6 +88,9 @@ class Adversary {
   txn::TxnFactory factory_;
   Rng rng_;
   InjectionRecorder recorder_;
+  /// TryInjectOne's draw buffer, reused so its access vector keeps its
+  /// capacity across draws (every strategy clears it before filling).
+  Candidate candidate_;
   double pacing_budget_ = 0.0;  ///< accumulated congestion budget
   bool burst_done_ = false;
   AdversaryStats stats_;

@@ -252,31 +252,36 @@ const std::vector<std::uint32_t>& Hierarchy::clusters_containing(
 
 const Cluster& Hierarchy::FindHomeCluster(ShardId home, Distance x,
                                           std::uint64_t salt) const {
+  return SpreadTopRoot(ScanHomeCluster(home, x), home, salt);
+}
+
+std::uint32_t Hierarchy::ScanHomeCluster(ShardId home, Distance x) const {
   SSHARD_CHECK(home < metric_->shard_count());
   const std::vector<ShardId> neighborhood = metric_->Neighborhood(home, x);
   for (const std::uint32_t id : containing_[home]) {
     const Cluster& cluster = clusters_[id];
     if (!cluster.HasLeader()) continue;
-    bool contains_all = true;
-    for (const ShardId shard : neighborhood) {
-      if (!cluster.Contains(shard)) {
-        contains_all = false;
-        break;
-      }
-    }
-    if (!contains_all) continue;
-    // Top-layer roots are interchangeable full-membership copies: hash the
-    // assignment across them so diameter-spanning load spreads instead of
-    // piling onto the first root the scan happens to reach.
-    if (cluster.top_root && top_roots_.size() > 1) {
-      const std::uint64_t pick =
-          (static_cast<std::uint64_t>(home) + salt) % top_roots_.size();
-      return clusters_[top_roots_[pick]];
-    }
-    return cluster;
+    const bool contains_all =
+        std::all_of(neighborhood.begin(), neighborhood.end(),
+                    [&](ShardId shard) { return cluster.Contains(shard); });
+    if (contains_all) return id;
   }
   SSHARD_CHECK(false && "no home cluster found (missing top cluster?)");
-  return clusters_.front();
+  return 0;
+}
+
+const Cluster& Hierarchy::SpreadTopRoot(std::uint32_t scanned, ShardId home,
+                                        std::uint64_t salt) const {
+  const Cluster& cluster = clusters_[scanned];
+  // Top-layer roots are interchangeable full-membership copies: hash the
+  // assignment across them so diameter-spanning load spreads instead of
+  // piling onto the first root the scan happens to reach.
+  if (cluster.top_root && top_roots_.size() > 1) {
+    const std::uint64_t pick =
+        (static_cast<std::uint64_t>(home) + salt) % top_roots_.size();
+    return clusters_[top_roots_[pick]];
+  }
+  return cluster;
 }
 
 std::uint32_t Hierarchy::MaxMembership(std::uint32_t layer) const {

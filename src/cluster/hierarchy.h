@@ -94,6 +94,17 @@ class Hierarchy {
   const Cluster& FindHomeCluster(ShardId home, Distance x,
                                  std::uint64_t salt = 0) const;
 
+  /// FindHomeCluster in two halves. ScanHomeCluster is the O(s) scan: the
+  /// id of the first cluster, in (layer, sublayer, id) order, that contains
+  /// the x-neighborhood of `home` and has a leader. It depends on (home, x)
+  /// only, so a caller may memoize it. SpreadTopRoot applies the salt: it
+  /// returns the scanned cluster unless that is a top root of a multi-root
+  /// hierarchy. FindHomeCluster(h, x, salt) ==
+  /// SpreadTopRoot(ScanHomeCluster(h, x), h, salt).
+  std::uint32_t ScanHomeCluster(ShardId home, Distance x) const;
+  const Cluster& SpreadTopRoot(std::uint32_t scanned, ShardId home,
+                               std::uint64_t salt) const;
+
   /// Ids of the full-membership top-layer roots (size >= 1 after Finalize).
   const std::vector<std::uint32_t>& top_roots() const { return top_roots_; }
 

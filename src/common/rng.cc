@@ -1,7 +1,6 @@
 #include "common/rng.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace stableshard {
 
@@ -24,12 +23,14 @@ std::vector<std::uint64_t> Rng::SampleWithoutReplacement(
     return result;
   }
 
-  // Sparse case: rejection sampling.
-  std::unordered_set<std::uint64_t> chosen;
-  chosen.reserve(count * 2);
+  // Sparse case: rejection sampling, membership by a scan of the values
+  // already drawn (callers draw a handful, so a scan beats a hash set).
+  // The output is pinned by common_test's SampleWithoutReplacementGolden.
   while (result.size() < count) {
     const std::uint64_t candidate = NextBounded(population);
-    if (chosen.insert(candidate).second) result.push_back(candidate);
+    if (std::find(result.begin(), result.end(), candidate) == result.end()) {
+      result.push_back(candidate);
+    }
   }
   return result;
 }

@@ -103,8 +103,9 @@ class Rng {
   }
 
   /// Sample `count` distinct values from [0, population) without
-  /// replacement. O(count) expected when count << population; falls back to
-  /// partial Fisher-Yates otherwise.
+  /// replacement: rejection sampling when count << population (O(count^2)
+  /// membership scans, allocation-free beyond the result — callers draw a
+  /// handful), partial Fisher-Yates otherwise.
   std::vector<std::uint64_t> SampleWithoutReplacement(std::uint64_t population,
                                                       std::uint64_t count);
 

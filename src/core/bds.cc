@@ -276,15 +276,22 @@ void BdsScheduler::SendSubTxnsForColor(ShardId home, Color color) {
   for (const TxnId id : state.by_color[color]) {
     const auto it = state.in_epoch.find(id);
     SSHARD_CHECK(it != state.in_epoch.end());
-    const txn::Transaction& txn = it->second.txn;
-    for (const txn::SubTransaction& sub : txn.subs()) {
-      SubTxnMsg msg;
-      msg.txn = id;
-      msg.coordinator = txn.home();
-      msg.height = Height{0, 0, 0, color, id};
-      msg.sub = sub;
-      outbox_.Send(home, sub.destination, Message{std::move(msg)});
-    }
+    SendSubTxns(home, it->second.txn, color);
+  }
+}
+
+void BdsScheduler::SendSubTxns(ShardId coordinator,
+                               const txn::Transaction& txn, Color color) {
+  // One SubTxnMsg per destination, each referencing its subtransaction in
+  // the transaction's shared body.
+  for (std::size_t i = 0; i < txn.subs().size(); ++i) {
+    SubTxnMsg msg;
+    msg.txn = txn.id();
+    msg.coordinator = coordinator;
+    msg.height = Height{0, 0, 0, color, txn.id()};
+    msg.sub = txn.SubRef(i);
+    const ShardId destination = msg.sub->destination;
+    outbox_.Send(coordinator, destination, Message{std::move(msg)});
   }
 }
 
@@ -302,14 +309,7 @@ void BdsScheduler::CoLeaderSendColor(ShardId shard, Color color) {
   if (it == state.by_color.end()) return;
   for (txn::Transaction& txn : it->second) {
     const TxnId id = txn.id();
-    for (const txn::SubTransaction& sub : txn.subs()) {
-      SubTxnMsg msg;
-      msg.txn = id;
-      msg.coordinator = shard;
-      msg.height = Height{0, 0, 0, color, id};
-      msg.sub = sub;
-      outbox_.Send(shard, sub.destination, Message{std::move(msg)});
-    }
+    SendSubTxns(shard, txn, color);
     InFlightTxn in_flight;
     in_flight.color = color;
     in_flight.txn = std::move(txn);
@@ -381,9 +381,14 @@ void BdsScheduler::HandleMessage(ShardId shard, ShardId from,
     // Epoch plan broadcast: models the communication; the round plan is
     // derived serially in BeginRound from the same data.
   } else if (auto* sub_msg = std::get_if<SubTxnMsg>(&message)) {
-    // Phase 3 round 2: destination evaluates and votes.
-    const bool vote = ledger_->EvaluateSub(sub_msg->sub);
-    dest_pending_[shard].emplace(sub_msg->txn, sub_msg->sub);
+    // Phase 3 round 2: destination evaluates and votes. Same-color
+    // transactions are shard-disjoint and a color's confirms land before
+    // the next color's subtransactions, so a destination holds at most one.
+    const bool vote = ledger_->EvaluateSub(*sub_msg->sub);
+    std::optional<DestPending>& residue = dest_pending_[shard];
+    SSHARD_CHECK(!residue.has_value() &&
+                 "two live subtransactions on one BDS destination");
+    residue = DestPending{sub_msg->txn, std::move(sub_msg->sub)};
     VoteMsg vote_msg;
     vote_msg.txn = sub_msg->txn;
     vote_msg.dest = shard;
@@ -398,11 +403,12 @@ void BdsScheduler::HandleMessage(ShardId shard, ShardId from,
                 *vote_msg, shard);
   } else if (auto* confirm = std::get_if<ConfirmMsg>(&message)) {
     // Phase 3 round 4: destination commits/aborts and clears state.
-    auto it = dest_pending_[shard].find(confirm->txn);
-    SSHARD_CHECK(it != dest_pending_[shard].end());
-    ledger_->ApplyConfirmDeferred(confirm->txn, it->second, confirm->commit,
-                                  round);
-    dest_pending_[shard].erase(it);
+    std::optional<DestPending>& residue = dest_pending_[shard];
+    SSHARD_CHECK(residue.has_value() && residue->txn == confirm->txn &&
+                 "confirm for unknown subtransaction");
+    ledger_->ApplyConfirmDeferred(confirm->txn, *residue->sub,
+                                  confirm->commit, round);
+    residue.reset();
   } else {
     SSHARD_CHECK(false && "unexpected message type in BDS");
   }

@@ -193,6 +193,8 @@ class BdsScheduler final : public Scheduler {
   void ShipPending(ShardId home);
   void LeaderColorAndReply(Round round);
   void SendSubTxnsForColor(ShardId home, Color color);
+  void SendSubTxns(ShardId coordinator, const txn::Transaction& txn,
+                   Color color);
   void CoLeaderSendColor(ShardId shard, Color color);
   void CollectVote(std::unordered_map<TxnId, InFlightTxn>& records,
                    const VoteMsg& vote, ShardId shard);
@@ -245,8 +247,13 @@ class BdsScheduler final : public Scheduler {
   std::vector<CoLeaderState> co_;
   std::uint32_t color_leaders_ = 1;  ///< effective L (clamped to s)
 
-  // Destination-shard side: subtransactions received and awaiting confirm.
-  std::vector<std::unordered_map<TxnId, txn::SubTransaction>> dest_pending_;
+  // Destination-shard side: the subtransaction received and awaiting
+  // confirm — one slot per shard, see the SubTxnMsg handler.
+  struct DestPending {
+    TxnId txn = kInvalidTxn;
+    txn::SubTxnRef sub;
+  };
+  std::vector<std::optional<DestPending>> dest_pending_;
 
   /// Per-shard delivery buffers: DeliverTo swaps the due ring slot with the
   /// shard's buffer, recycling envelope capacity across rounds (shard-owned,

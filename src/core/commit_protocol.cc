@@ -60,21 +60,24 @@ void CommitProtocol::Coordinate(ShardId coordinator,
   coordinating_[coordinator].emplace(txn.id(), std::move(pending));
 }
 
-void CommitProtocol::SendSubTxn(ShardId coordinator,
-                                const txn::Transaction& txn,
-                                const txn::SubTransaction& sub, Height height,
-                                std::uint32_t cluster, bool update) {
+void CommitProtocol::SendSubTxns(ShardId coordinator,
+                                 const txn::Transaction& txn, Height height,
+                                 std::uint32_t cluster, bool update) {
   auto& slice = coordinating_[coordinator];
   const auto it = slice.find(txn.id());
   if (it != slice.end()) it->second.current_height = height;
-  SubTxnMsg msg;
-  msg.txn = txn.id();
-  msg.cluster = cluster;
-  msg.coordinator = coordinator;
-  msg.height = height;
-  msg.update = update;
-  msg.sub = sub;
-  outbox_->Send(coordinator, sub.destination, Message{std::move(msg)});
+  const std::vector<txn::SubTransaction>& subs = txn.subs();
+  for (std::size_t i = 0; i < subs.size(); ++i) {
+    SubTxnMsg msg;
+    msg.txn = txn.id();
+    msg.cluster = cluster;
+    msg.coordinator = coordinator;
+    msg.height = height;
+    msg.update = update;
+    // A height update only re-keys the destination's existing entry.
+    if (!update) msg.sub = txn.SubRef(i);
+    outbox_->Send(coordinator, subs[i].destination, Message{std::move(msg)});
+  }
 }
 
 void CommitProtocol::Decide(ShardId coordinator, PendingCommit& pending,
@@ -131,6 +134,7 @@ bool CommitProtocol::HandleMessage(ShardId to, Message& message,
     } else {
       SSHARD_CHECK(index_it == queue.index.end() &&
                    "duplicate schedule of a subtransaction");
+      SSHARD_CHECK(sub_msg->sub != nullptr);
       Entry entry;
       entry.txn = sub_msg->txn;
       entry.cluster = sub_msg->cluster;
@@ -177,7 +181,7 @@ bool CommitProtocol::HandleMessage(ShardId to, Message& message,
       // Aborts write nothing: their position is irrelevant, pop at once.
       if (!confirm->commit) {
         queue.unvoted.erase(index_it->second);
-        ledger_->ApplyConfirmDeferred(confirm->txn, entry_it->second.sub,
+        ledger_->ApplyConfirmDeferred(confirm->txn, *entry_it->second.sub,
                                       /*commit=*/false, round);
         queue.entries.erase(entry_it);
         queue.index.erase(index_it);
@@ -204,7 +208,7 @@ bool CommitProtocol::HandleMessage(ShardId to, Message& message,
                    *queue.pinned == confirm->txn &&
                    "commit confirm for unpinned entry");
     }
-    ledger_->ApplyConfirmDeferred(confirm->txn, entry_it->second.sub,
+    ledger_->ApplyConfirmDeferred(confirm->txn, *entry_it->second.sub,
                                   confirm->commit, round);
     queue.entries.erase(entry_it);
     queue.index.erase(index_it);
@@ -257,7 +261,8 @@ void CommitProtocol::ApplyDecidedInOrder(ShardId dest, Round round) {
   // arrive. Applying only after the gate keeps the per-shard apply order
   // identical to the global height order (cross-shard serializability).
   if (round < head->first.t_end) return;
-  ledger_->ApplyConfirmDeferred(entry.txn, entry.sub, /*commit=*/true, round);
+  ledger_->ApplyConfirmDeferred(entry.txn, *entry.sub, /*commit=*/true,
+                                round);
   queue.unvoted.erase(head->first);
   queue.index.erase(entry.txn);
   queue.entries.erase(head);
@@ -279,7 +284,7 @@ void CommitProtocol::IssueVotesForShard(ShardId dest, Round round) {
       vote.txn = entry.txn;
       vote.cluster = entry.cluster;
       vote.dest = dest;
-      vote.commit = ledger_->EvaluateSub(entry.sub);
+      vote.commit = ledger_->EvaluateSub(*entry.sub);
       outbox_->Send(dest, entry.coordinator, Message{vote});
     }
     ApplyDecidedInOrder(dest, round);
@@ -293,7 +298,7 @@ void CommitProtocol::IssueVotesForShard(ShardId dest, Round round) {
   vote.txn = entry.txn;
   vote.cluster = entry.cluster;
   vote.dest = dest;
-  vote.commit = ledger_->EvaluateSub(entry.sub);
+  vote.commit = ledger_->EvaluateSub(*entry.sub);
   outbox_->Send(dest, entry.coordinator, Message{vote});
   queue.pinned = entry.txn;
 }

@@ -97,12 +97,12 @@ class CommitProtocol {
   void Coordinate(ShardId coordinator, const txn::Transaction& txn,
                   std::uint32_t cluster);
 
-  /// Coordinator side: send one subtransaction to its destination (or, with
-  /// `update` = true, refresh its height after an FDS reschedule).
+  /// Coordinator side: send every subtransaction of `txn` to its
+  /// destination, in subs() order, as a reference into the shared body (or,
+  /// with `update` = true, refresh their heights after an FDS reschedule).
   /// `coordinator` is the shard votes must return to.
-  void SendSubTxn(ShardId coordinator, const txn::Transaction& txn,
-                  const txn::SubTransaction& sub, Height height,
-                  std::uint32_t cluster, bool update);
+  void SendSubTxns(ShardId coordinator, const txn::Transaction& txn,
+                   Height height, std::uint32_t cluster, bool update);
 
   /// Route one delivered protocol message (SubTxn/Vote/Confirm/Retract*)
   /// addressed to shard `to`. Returns true if the message type belonged to
@@ -137,7 +137,7 @@ class CommitProtocol {
     TxnId txn = kInvalidTxn;
     std::uint32_t cluster = 0;
     ShardId coordinator = kInvalidShard;
-    txn::SubTransaction sub;
+    txn::SubTxnRef sub;
     bool voted = false;                  // pipelined mode
     std::optional<bool> decision;        // pipelined mode: confirm received
   };

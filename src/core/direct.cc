@@ -46,9 +46,7 @@ void DirectScheduler::StepShard(ShardId shard, Round round) {
   for (const txn::Transaction& txn : inject_by_home_[shard]) {
     protocol_.Coordinate(shard, txn, 0);
     const Height height{0, 0, 0, 0, txn.id()};
-    for (const txn::SubTransaction& sub : txn.subs()) {
-      protocol_.SendSubTxn(shard, txn, sub, height, 0, /*update=*/false);
-    }
+    protocol_.SendSubTxns(shard, txn, height, 0, /*update=*/false);
   }
   inject_by_home_[shard].clear();
 

@@ -26,6 +26,7 @@ FdsScheduler::FdsScheduler(const net::ShardMetric& metric,
                 config.commit_mode),
       cluster_state_(hierarchy.clusters().size()),
       home_outgoing_(metric.shard_count()),
+      home_cluster_memo_(metric.shard_count()),
       buffered_by_home_(metric.shard_count(), 0),
       coloring_work_(metric.shard_count()),
       step_arenas_(metric.shard_count()),
@@ -71,8 +72,8 @@ void FdsScheduler::Inject(const txn::Transaction& txn) {
   // single-top hierarchy ignores the salt entirely). Salting by home alone
   // would collapse back to one root under two-endpoint workloads like
   // diameter_span.
-  const cluster::Cluster& home_cluster =
-      hierarchy_->FindHomeCluster(txn.home(), x, txn.id());
+  const cluster::Cluster& home_cluster = hierarchy_->SpreadTopRoot(
+      ScannedHomeCluster(txn.home(), x), txn.home(), txn.id());
   ClusterState& state = cluster_state_[home_cluster.id];
   if (!state.ever_used) {
     state.ever_used = true;
@@ -80,6 +81,17 @@ void FdsScheduler::Inject(const txn::Transaction& txn) {
   }
   home_outgoing_[txn.home()][home_cluster.id].push_back(txn);
   ++buffered_by_home_[txn.home()];
+}
+
+std::uint32_t FdsScheduler::ScannedHomeCluster(ShardId home, Distance x) {
+  std::vector<std::pair<Distance, std::uint32_t>>& memo =
+      home_cluster_memo_[home];
+  for (const auto& [distance, id] : memo) {
+    if (distance == x) return id;
+  }
+  const std::uint32_t id = hierarchy_->ScanHomeCluster(home, x);
+  memo.emplace_back(x, id);
+  return id;
 }
 
 void FdsScheduler::OnDecided(TxnId txn, std::uint32_t cluster,
@@ -242,10 +254,8 @@ void FdsScheduler::RunColoring(const cluster::Cluster& cluster,
     if (is_new) {
       protocol_.Coordinate(leader, txn, cluster.id);
     }
-    for (const txn::SubTransaction& sub : txn.subs()) {
-      protocol_.SendSubTxn(leader, txn, sub, height, cluster.id,
-                           /*update=*/!is_new);
-    }
+    protocol_.SendSubTxns(leader, txn, height, cluster.id,
+                          /*update=*/!is_new);
   }
   for (auto& txn : state.incoming) {
     const TxnId id = txn.id();

@@ -50,6 +50,7 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/hierarchy.h"
@@ -172,6 +173,8 @@ class FdsScheduler final : public Scheduler {
 
   void RunColoring(const cluster::Cluster& cluster, ShardId leader,
                    Round round);
+  /// Hierarchy::ScanHomeCluster(home, x), memoized (serial Inject only).
+  std::uint32_t ScannedHomeCluster(ShardId home, Distance x);
   void OnDecided(TxnId txn, std::uint32_t cluster, bool committed);
 
   const net::ShardMetric* metric_;
@@ -198,6 +201,10 @@ class FdsScheduler final : public Scheduler {
   // order is deterministic).
   std::vector<std::map<std::uint32_t, std::vector<txn::Transaction>>>
       home_outgoing_;
+  /// Per home shard: (x, scanned home cluster id) pairs already resolved.
+  /// A home sees few distinct x, so a linear find beats a map.
+  std::vector<std::vector<std::pair<Distance, std::uint32_t>>>
+      home_cluster_memo_;
   std::vector<std::uint64_t> buffered_by_home_;
 
   // BeginRound output: clusters to color this round, grouped by leader.

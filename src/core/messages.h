@@ -54,16 +54,18 @@ struct ColorClassMsg {
 };
 
 /// Coordinator (home shard or cluster leader) -> destination shard: one
-/// subtransaction to insert into the destination's schedule queue. When
-/// `update` is set the destination only refreshes the height of an existing
-/// entry (FDS rescheduling, Section 6.2 Phase 2).
+/// subtransaction to insert into the destination's schedule queue. `sub`
+/// references the subtransaction inside the transaction's shared body (no
+/// copy). When `update` is set the destination only refreshes the height of
+/// an existing entry (FDS rescheduling, Section 6.2 Phase 2) and `sub` is
+/// empty.
 struct SubTxnMsg {
   TxnId txn = kInvalidTxn;
   std::uint32_t cluster = 0;
   ShardId coordinator = kInvalidShard;
   Height height;
   bool update = false;
-  txn::SubTransaction sub;
+  txn::SubTxnRef sub;
 };
 
 /// Destination -> coordinator: commit/abort vote for one subtransaction.

@@ -46,7 +46,7 @@ void OpenLoopInjector::GenerateRound(Round round,
   std::uint64_t due = backlog_ + PullArrivals();
   backlog_ = 0;
   for (std::uint64_t i = 0; i < due; ++i) {
-    adversary::Candidate candidate;
+    adversary::Candidate& candidate = candidate_;
     if (!strategy_->Next(round, rng_, &candidate)) {
       // Structurally out of shapes (a fully consumed trace): the remaining
       // arrivals stay offered-but-never-injected.

@@ -139,6 +139,9 @@ class OpenLoopInjector final : public Injector {
   txn::TxnFactory factory_;
   Rng rng_;
   InjectionRecorder recorder_;
+  /// GenerateRound's draw buffer, reused so its access vector keeps its
+  /// capacity across draws (every strategy clears it before filling).
+  adversary::Candidate candidate_;
   Round wall_cursor_ = 0;     ///< wall rounds consumed from the schedule
   std::uint64_t backlog_ = 0; ///< arrivals waiting out a protocol stall
   std::uint64_t offered_ = 0;

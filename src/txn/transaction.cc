@@ -1,6 +1,7 @@
 #include "txn/transaction.h"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 
 #include "common/check.h"
@@ -51,42 +52,64 @@ std::uint64_t SubTransaction::Digest() const {
 
 Transaction::Transaction(TxnId id, ShardId home, Round injected,
                          std::vector<SubTransaction> subs)
-    : id_(id), home_(home), injected_(injected), subs_(std::move(subs)) {
-  SSHARD_CHECK(!subs_.empty());
-  destinations_.reserve(subs_.size());
-  for (const auto& sub : subs_) {
+    : id_(id), home_(home), injected_(injected) {
+  SSHARD_CHECK(!subs.empty());
+  auto body = std::make_shared<Body>();
+  std::vector<ShardId>& destinations = body->destinations;
+  std::vector<Access>& accesses = body->accesses;
+  std::size_t access_count = 0;
+  for (const auto& sub : subs) {
+    access_count += sub.conditions.size() + sub.actions.size();
+  }
+  destinations.reserve(subs.size());
+  accesses.reserve(access_count);
+  for (const auto& sub : subs) {
     SSHARD_CHECK(sub.destination != kInvalidShard);
-    destinations_.push_back(sub.destination);
+    destinations.push_back(sub.destination);
     for (const auto& condition : sub.conditions) {
-      accesses_.push_back({condition.account, false});
+      accesses.push_back({condition.account, false});
     }
     for (const auto& action : sub.actions) {
-      accesses_.push_back({action.account, action.IsWrite()});
+      accesses.push_back({action.account, action.IsWrite()});
     }
   }
-  std::sort(destinations_.begin(), destinations_.end());
+  std::sort(destinations.begin(), destinations.end());
   // One subtransaction per destination shard: duplicates are a construction
   // bug (the factory merges accesses per shard).
-  SSHARD_CHECK(std::adjacent_find(destinations_.begin(),
-                                  destinations_.end()) == destinations_.end());
+  SSHARD_CHECK(std::adjacent_find(destinations.begin(),
+                                  destinations.end()) == destinations.end());
   // Collapse accesses per account, write-dominant.
-  std::sort(accesses_.begin(), accesses_.end(),
+  std::sort(accesses.begin(), accesses.end(),
             [](const Access& a, const Access& b) {
               if (a.account != b.account) return a.account < b.account;
               return a.write > b.write;
             });
-  accesses_.erase(std::unique(accesses_.begin(), accesses_.end(),
-                              [](const Access& a, const Access& b) {
-                                return a.account == b.account;
-                              }),
-                  accesses_.end());
+  accesses.erase(std::unique(accesses.begin(), accesses.end(),
+                             [](const Access& a, const Access& b) {
+                               return a.account == b.account;
+                             }),
+                 accesses.end());
+  body->subs = std::move(subs);
+  body_ = std::move(body);
+}
+
+const Transaction::Body& Transaction::EmptyBody() {
+  static const Body empty;
+  return empty;
+}
+
+SubTxnRef Transaction::SubRef(std::size_t index) const {
+  SSHARD_CHECK(index < subs().size());
+  return SubTxnRef(body_, &body_->subs[index]);
 }
 
 bool Transaction::ConflictsWith(const Transaction& other) const {
   // Merge-walk over the two sorted access lists.
-  auto it = accesses_.begin();
-  auto jt = other.accesses_.begin();
-  while (it != accesses_.end() && jt != other.accesses_.end()) {
+  const std::vector<Access>& mine = accesses();
+  const std::vector<Access>& theirs = other.accesses();
+  auto it = mine.begin();
+  auto jt = theirs.begin();
+  while (it != mine.end() && jt != theirs.end()) {
     if (it->account < jt->account) {
       ++it;
     } else if (jt->account < it->account) {
@@ -105,7 +128,7 @@ std::string Transaction::ToString() const {
   os << "T" << id_ << "{home=S" << home_ << ", injected=@" << injected_
      << ", subs=[";
   bool first = true;
-  for (const auto& sub : subs_) {
+  for (const auto& sub : subs()) {
     if (!first) os << "; ";
     first = false;
     os << "S" << sub.destination << ":";

@@ -1,6 +1,6 @@
 #include "txn/txn_factory.h"
 
-#include <map>
+#include <algorithm>
 
 #include "common/check.h"
 
@@ -10,25 +10,41 @@ Transaction TxnFactory::Make(ShardId home, Round injected,
                              const std::vector<AccessSpec>& accesses) {
   SSHARD_CHECK(home < accounts_->shard_count());
   SSHARD_CHECK(!accesses.empty());
-  std::map<ShardId, SubTransaction> by_shard;
-  for (const AccessSpec& spec : accesses) {
-    const ShardId owner = accounts_->OwnerOf(spec.account);
-    SubTransaction& sub = by_shard[owner];
-    sub.destination = owner;
-    if (spec.has_condition) {
-      sub.conditions.push_back(spec.condition);
-    }
-    if (spec.action.kind != chain::ActionKind::kNone || !spec.has_condition) {
-      chain::Action action = spec.action;
-      action.account = spec.account;
-      sub.actions.push_back(action);
-    }
+  // Order the specs by (owner shard, position): one run per destination, in
+  // ascending shard order, each run keeping the specs' input order.
+  order_.clear();
+  order_.reserve(accesses.size());
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    order_.emplace_back(accounts_->OwnerOf(accesses[i].account),
+                        static_cast<std::uint32_t>(i));
+  }
+  std::sort(order_.begin(), order_.end());
+  std::size_t shard_count = 0;
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    if (i == 0 || order_[i].first != order_[i - 1].first) ++shard_count;
   }
   std::vector<SubTransaction> subs;
-  subs.reserve(by_shard.size());
-  for (auto& [shard, sub] : by_shard) {
-    (void)shard;
-    subs.push_back(std::move(sub));
+  subs.reserve(shard_count);
+  for (std::size_t begin = 0; begin < order_.size();) {
+    const ShardId owner = order_[begin].first;
+    std::size_t end = begin;
+    while (end < order_.size() && order_[end].first == owner) ++end;
+    SubTransaction& sub = subs.emplace_back();
+    sub.destination = owner;
+    sub.actions.reserve(end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      const AccessSpec& spec = accesses[order_[i].second];
+      if (spec.has_condition) {
+        sub.conditions.push_back(spec.condition);
+      }
+      if (spec.action.kind != chain::ActionKind::kNone ||
+          !spec.has_condition) {
+        chain::Action action = spec.action;
+        action.account = spec.account;
+        sub.actions.push_back(action);
+      }
+    }
+    begin = end;
   }
   return Transaction(next_id_++, home, injected, std::move(subs));
 }

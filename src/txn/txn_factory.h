@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "chain/account_map.h"
@@ -57,6 +58,9 @@ class TxnFactory {
  private:
   const chain::AccountMap* accounts_;
   TxnId next_id_ = 0;
+  /// Make's scratch: (owner shard, spec index) per access, reused across
+  /// calls so grouping allocates nothing in steady state.
+  std::vector<std::pair<ShardId, std::uint32_t>> order_;
 };
 
 }  // namespace stableshard::txn

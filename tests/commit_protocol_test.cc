@@ -51,9 +51,7 @@ class CommitProtocolTest : public ::testing::Test {
   void Schedule(const txn::Transaction& txn, Height height,
                 ShardId coordinator) {
     protocol_.Coordinate(coordinator, txn, 0);
-    for (const auto& sub : txn.subs()) {
-      protocol_.SendSubTxn(coordinator, txn, sub, height, 0, false);
-    }
+    protocol_.SendSubTxns(coordinator, txn, height, 0, false);
   }
 
   void RunUntilIdle(Round cap = 200) {
@@ -217,10 +215,8 @@ TEST_F(PipelinedProtocolTest, RescheduleUpdatesOrdering) {
   Schedule(b, Height{40, 0, 0, 1, b.id()}, 0);
   Step();  // arrivals
   // Height update: a moves to color 2 (behind b).
-  for (const auto& sub : a.subs()) {
-    protocol_.SendSubTxn(0, a, sub, Height{40, 0, 0, 2, a.id()}, 0,
-                         /*update=*/true);
-  }
+  protocol_.SendSubTxns(0, a, Height{40, 0, 0, 2, a.id()}, 0,
+                        /*update=*/true);
   RunUntilIdle(300);
   EXPECT_EQ(ledger_.committed_txns(), 2u);
   const auto& blocks = ledger_.chains()[0].blocks();

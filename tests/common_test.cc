@@ -9,6 +9,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/arena.h"
 #include "common/csv.h"
@@ -93,6 +94,73 @@ TEST(Rng, SampleFullPopulationIsPermutation) {
   const auto sample = rng.SampleWithoutReplacement(16, 16);
   std::set<std::uint64_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 16u);
+}
+
+// Pins the sampler's exact output, and the generator state it leaves
+// behind, for fixed (seed, population, count) cells on the dense
+// (Fisher-Yates) and the sparse (rejection) paths. Every
+// workload's transaction stream depends on these draws, so a change here
+// changes every simulation result.
+TEST(Rng, SampleWithoutReplacementGolden) {
+  struct Cell {
+    std::uint64_t seed;
+    std::uint64_t population;
+    std::uint64_t count;
+    std::vector<std::uint64_t> expected;
+    std::uint64_t next;  ///< the generator's next output after sampling
+  };
+  const std::vector<Cell> cells = {
+      {13, 8, 4,
+       {1, 6, 7, 3},
+       12054088474581631406ull},
+      {13, 64, 8,
+       {15, 50, 61, 9, 43, 30, 13, 39},
+       10910944071128475545ull},
+      {21, 40, 12,
+       {1, 32, 27, 14, 31, 5, 38, 21, 6, 3, 20, 30},
+       10999289009795257930ull},
+      {5, 16, 16,
+       {4, 10, 11, 13, 1, 3, 2, 14, 0, 6, 15, 12, 5, 8, 9, 7},
+       12557456731418859493ull},
+      {13, 10000, 8,
+       {2422, 7828, 9629, 1067, 6534, 4400, 1304, 5645},
+       10910944071128475545ull},
+      {7, 1024, 8,
+       {717, 285, 859, 1004, 1014, 893, 62, 106},
+       7447070967899653408ull},
+      {99, 1000000, 3,
+       {348703, 564000, 378214},
+       15783551150292301276ull},
+      {3, 1024, 100,
+       {707, 655, 223, 546, 434, 409, 215, 732, 964, 199, 945, 696, 660,
+        772, 701, 112, 118, 117, 918, 725, 614, 523, 531, 56, 935, 1004,
+        608, 928, 181, 481, 12, 876, 749, 218, 988, 891, 485, 594, 268,
+        356, 304, 484, 392, 554, 616, 391, 621, 270, 452, 836, 26, 641,
+        600, 286, 884, 645, 36, 799, 620, 601, 745, 986, 435, 418, 6, 325,
+        824, 893, 427, 174, 905, 310, 774, 896, 309, 673, 370, 750, 415,
+        351, 213, 569, 611, 406, 444, 767, 763, 729, 346, 619, 393, 273,
+        864, 880, 539, 290, 33, 228, 460, 985},
+       15079962767919976640ull},
+      {11, 4096, 1,
+       {914},
+       1609190652402573441ull},
+      // ~8 rejected repeats.
+      {17, 257, 64,
+       {169, 177, 241, 248, 171, 223, 226, 139, 170, 0, 244, 107, 54, 85,
+        27, 23, 49, 240, 132, 234, 9, 115, 144, 29, 91, 22, 153, 203, 33,
+        67, 11, 94, 168, 243, 98, 247, 65, 89, 210, 10, 41, 207, 194, 161,
+        245, 4, 110, 140, 192, 164, 118, 53, 8, 235, 189, 150, 127, 112, 16,
+        242, 76, 109, 166, 202},
+       5960035196070630137ull},
+  };
+  for (const Cell& cell : cells) {
+    Rng rng(cell.seed);
+    EXPECT_EQ(rng.SampleWithoutReplacement(cell.population, cell.count),
+              cell.expected)
+        << "seed " << cell.seed << " population " << cell.population
+        << " count " << cell.count;
+    EXPECT_EQ(rng(), cell.next) << "seed " << cell.seed;
+  }
 }
 
 TEST(Rng, ShuffleIsPermutation) {

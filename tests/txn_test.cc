@@ -105,6 +105,70 @@ TEST(Transaction, TransferShape) {
   EXPECT_TRUE(found_from);
 }
 
+TEST(Transaction, CopiesShareOneBody) {
+  const auto map = MakeMap(8, 8);
+  TxnFactory factory(map);
+  const auto a = factory.MakeTouch(0, 0, {0, 3, 5});
+  // The copy is the point of the test.
+  // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+  const Transaction b = a;
+  EXPECT_EQ(a.subs().data(), b.subs().data());
+  EXPECT_EQ(a.destinations().data(), b.destinations().data());
+  EXPECT_EQ(a.accesses().data(), b.accesses().data());
+  EXPECT_EQ(a.id(), b.id());
+  EXPECT_EQ(a.home(), b.home());
+  EXPECT_EQ(a.injected(), b.injected());
+}
+
+TEST(Transaction, SubRefOutlivesEveryTransaction) {
+  const auto map = MakeMap(8, 8);
+  TxnFactory factory(map);
+  SubTxnRef ref;
+  SubTransaction expected;
+  {
+    const auto txn = factory.MakeTransfer(/*home=*/2, /*injected=*/1,
+                                          /*from=*/0, /*to=*/5,
+                                          /*amount=*/100,
+                                          /*min_balance=*/500);
+    // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+    const Transaction copy = txn;
+    ref = copy.SubRef(0);
+    EXPECT_EQ(ref.get(), &txn.subs()[0]);
+    expected = txn.subs()[0];
+  }
+  ASSERT_NE(ref, nullptr);
+  EXPECT_EQ(ref->destination, expected.destination);
+  EXPECT_EQ(ref->Digest(), expected.Digest());
+  EXPECT_EQ(ref->ReadSet(), expected.ReadSet());
+  EXPECT_EQ(ref->WriteSet(), expected.WriteSet());
+  ASSERT_EQ(ref->conditions.size(), 1u);
+  EXPECT_EQ(ref->conditions[0].value, 500);
+}
+
+TEST(Transaction, DefaultIsEmpty) {
+  const Transaction txn;
+  EXPECT_EQ(txn.id(), kInvalidTxn);
+  EXPECT_EQ(txn.home(), kInvalidShard);
+  EXPECT_TRUE(txn.subs().empty());
+  EXPECT_TRUE(txn.destinations().empty());
+  EXPECT_TRUE(txn.accesses().empty());
+  EXPECT_EQ(txn.shard_span(), 0u);
+}
+
+TEST(Transaction, FactorySubsAscendInDestinationAndKeepSpecOrder) {
+  const auto map = MakeMap(4, 16);  // owner a % 4
+  TxnFactory factory(map);
+  // Shard 3 first in the specs, shard 1 twice with 9 before 5.
+  const auto txn = factory.MakeTouch(0, 0, {7, 9, 2, 5});
+  ASSERT_EQ(txn.subs().size(), 3u);
+  EXPECT_EQ(txn.subs()[0].destination, 1u);
+  EXPECT_EQ(txn.subs()[1].destination, 2u);
+  EXPECT_EQ(txn.subs()[2].destination, 3u);
+  ASSERT_EQ(txn.subs()[0].actions.size(), 2u);
+  EXPECT_EQ(txn.subs()[0].actions[0].account, 9u);
+  EXPECT_EQ(txn.subs()[0].actions[1].account, 5u);
+}
+
 TEST(SubTransaction, ReadWriteSets) {
   SubTransaction sub;
   sub.destination = 0;
@@ -114,6 +178,16 @@ TEST(SubTransaction, ReadWriteSets) {
   EXPECT_EQ(sub.ReadSet(), (std::vector<AccountId>{3, 5}));
   EXPECT_EQ(sub.WriteSet(), (std::vector<AccountId>{4}));
   EXPECT_TRUE(sub.HasWrite());
+}
+
+TEST(SubTransaction, DigestGolden) {
+  // Block payload digests feed the chains and the WAL: the value is pinned.
+  SubTransaction sub;
+  sub.destination = 2;
+  sub.conditions.push_back({3, chain::CmpOp::kGe, 1});
+  sub.actions.push_back({4, chain::ActionKind::kDeposit, 1});
+  sub.actions.push_back({5, chain::ActionKind::kNone, 0});
+  EXPECT_EQ(sub.Digest(), 1328903063276552852ull);
 }
 
 TEST(SubTransaction, DigestSensitivity) {
