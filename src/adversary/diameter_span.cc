@@ -80,7 +80,6 @@ bool DiameterSpanStrategy::Next(Round round, Rng& rng, Candidate* out) {
       chosen.push_back(account);
     }
   }
-  out->accesses.reserve(chosen.size());
   for (const AccountId account : chosen) {
     out->accesses.push_back(internal::TouchSpec(account));
   }

@@ -59,7 +59,6 @@ bool HotDestinationStrategy::Next(Round round, Rng& rng, Candidate* out) {
       chosen.push_back(account);
     }
   }
-  out->accesses.reserve(chosen.size());
   for (const AccountId account : chosen) {
     out->accesses.push_back(internal::TouchSpec(account));
   }

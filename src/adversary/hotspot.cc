@@ -21,7 +21,6 @@ bool HotspotStrategy::Next(Round round, Rng& rng, Candidate* out) {
   const std::uint32_t span = internal::PickSpan(options_, rng);
   out->home = static_cast<ShardId>(rng.NextBounded(map_->shard_count()));
   out->accesses.clear();
-  out->accesses.reserve(span);
   out->accesses.push_back(internal::TouchSpec(hotspot_));
   if (span > 1) {
     // span-1 extra accounts distinct from the hotspot.

@@ -40,7 +40,6 @@ bool LocalStrategy::Next(Round round, Rng& rng, Candidate* out) {
                               static_cast<std::uint32_t>(pool.size()));
   const auto picks = rng.SampleWithoutReplacement(pool.size(), span);
   out->accesses.clear();
-  out->accesses.reserve(picks.size());
   for (const auto index : picks) {
     out->accesses.push_back(internal::TouchSpec(pool[index]));
   }

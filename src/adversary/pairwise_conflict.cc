@@ -39,7 +39,6 @@ bool PairwiseConflictStrategy::Next(Round round, Rng& rng, Candidate* out) {
   cursor_ = (cursor_ + 1) % (k_ + 1);
   out->home = member_shards_[member].front();
   out->accesses.clear();
-  out->accesses.reserve(member_shards_[member].size());
   for (const ShardId shard : member_shards_[member]) {
     // Write the shard's first account so every pair of group members
     // conflicts on their dedicated shard's account.

@@ -21,7 +21,6 @@ bool UniformRandomStrategy::Next(Round round, Rng& rng, Candidate* out) {
   const auto picks = rng.SampleWithoutReplacement(map_->account_count(), span);
   out->home = static_cast<ShardId>(rng.NextBounded(map_->shard_count()));
   out->accesses.clear();
-  out->accesses.reserve(picks.size());
   for (const auto account : picks) {
     out->accesses.push_back(internal::TouchSpec(account));
   }

@@ -84,14 +84,10 @@ void FdsScheduler::Inject(const txn::Transaction& txn) {
 }
 
 std::uint32_t FdsScheduler::ScannedHomeCluster(ShardId home, Distance x) {
-  std::vector<std::pair<Distance, std::uint32_t>>& memo =
-      home_cluster_memo_[home];
-  for (const auto& [distance, id] : memo) {
-    if (distance == x) return id;
-  }
-  const std::uint32_t id = hierarchy_->ScanHomeCluster(home, x);
-  memo.emplace_back(x, id);
-  return id;
+  std::vector<std::uint32_t>& memo = home_cluster_memo_[home];
+  if (memo.size() <= x) memo.resize(std::size_t{x} + 1, kUnscanned);
+  if (memo[x] == kUnscanned) memo[x] = hierarchy_->ScanHomeCluster(home, x);
+  return memo[x];
 }
 
 void FdsScheduler::OnDecided(TxnId txn, std::uint32_t cluster,

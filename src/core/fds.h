@@ -48,9 +48,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "cluster/hierarchy.h"
@@ -201,10 +201,12 @@ class FdsScheduler final : public Scheduler {
   // order is deterministic).
   std::vector<std::map<std::uint32_t, std::vector<txn::Transaction>>>
       home_outgoing_;
-  /// Per home shard: (x, scanned home cluster id) pairs already resolved.
-  /// A home sees few distinct x, so a linear find beats a map.
-  std::vector<std::vector<std::pair<Distance, std::uint32_t>>>
-      home_cluster_memo_;
+  /// Per home shard, indexed by x: the scanned home cluster id, or
+  /// kUnscanned. Grows to the largest x the home has seen (at most the
+  /// metric diameter), so a lookup is O(1) whatever x the workload draws.
+  static constexpr std::uint32_t kUnscanned =
+      std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::vector<std::uint32_t>> home_cluster_memo_;
   std::vector<std::uint64_t> buffered_by_home_;
 
   // BeginRound output: clusters to color this round, grouped by leader.
