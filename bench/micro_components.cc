@@ -33,7 +33,7 @@
 // (micro_components_smoke); the identity checks still run in full.
 // A second, non-comparative "components" section times the remaining
 // round-loop constituents (network delivery, hierarchy build, token
-// buckets, one PBFT instance) so their cost stays visible in the JSON.
+// buckets) so their cost stays visible in the JSON.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -52,7 +52,6 @@
 #include "common/check.h"
 #include "common/flags.h"
 #include "common/rng.h"
-#include "consensus/pbft.h"
 #include "net/metric.h"
 #include "net/network.h"
 #include "txn/coloring.h"
@@ -443,14 +442,6 @@ int main(int argc, char** argv) {
                             bucket_array.Tick();
                             g_sink += static_cast<std::uint64_t>(
                                 bucket_array.MinTokens());
-                          })});
-
-    consensus::PbftConfig pbft;
-    pbft.nodes = 13;
-    components.push_back({"pbft_instance", pbft.nodes, BestOf(reps, [&] {
-                            Rng rng(5);
-                            g_sink +=
-                                RunPbft(pbft, 0xfeed, 0, rng).decided ? 1 : 0;
                           })});
   }
 

@@ -35,8 +35,9 @@
 // Phase-timing mode (the pipelined-epilogue before/after record): times
 // generate / inject / BeginRound / StepShard / flush / finish / sample
 // separately and reports each config's serial share, with the pipelined
-// epilogue off ("before": EndRound fully serial) and on ("after":
-// destination-partitioned flush overlapped with next-round generation):
+// epilogue off ("before": one partition on the driving thread) and on
+// ("after": destination-partitioned flush overlapped with next-round
+// generation):
 //   build/bench/parallel_rounds --phases [--smoke] [--rounds=300]
 //       [--rho=0.15] [--b=3000] [--radius=8] [--json=BENCH_pipeline.json]
 //
@@ -479,7 +480,7 @@ int RunPhases(const Flags& flags) {
 
   std::printf(
       "parallel_rounds phases: per-round wall-clock split, pipelined "
-      "epilogue off (\"before\": serial EndRound) vs on (\"after\": "
+      "epilogue off (\"before\": one-partition EndRound) vs on (\"after\": "
       "destination-partitioned flush + overlapped generation)\n\n");
   std::printf("%6s %8s %5s %7s %8s | %8s %8s | %8s %8s %8s %8s | %8s\n", "s",
               "topology", "sched", "workers", "pipeline", "seconds",
@@ -583,8 +584,8 @@ int RunPhases(const Flags& flags) {
   std::printf(
       "\nall %zu runs bit-identical across worker counts and pipeline "
       "modes; table written to %s\n"
-      "Reading: with the pipeline off, EndRound's flush is the serial "
-      "finish_s column; with it on, that work moves into flush_s — a "
+      "Reading: with the pipeline off, EndRound's one-partition flush is "
+      "the serial finish_s column; with it on, that work moves into flush_s — a "
       "pool-partitioned window that also hides next-round generation — so "
       "the serial share (everything outside step_s + flush_s) drops.\n",
       rows.size(), json_path.c_str());

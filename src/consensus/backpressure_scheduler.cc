@@ -98,15 +98,11 @@ void BackpressureScheduler::StepShard(ShardId shard, Round round) {
   inner_->StepShard(shard, round);
 }
 
-void BackpressureScheduler::EndRound(Round round) {
-  inner_->EndRound(round);
-}
-
 // The epilogue trio delegates through the Scheduler interface on purpose:
-// FdsScheduler's overrides carry thread-safety annotations naming its
-// private capabilities, which this wrapper neither holds nor tracks —
-// calling via the unannotated base keeps the wrapper transparent to the
-// analysis (the capabilities are acquired and released inside one
+// core::NetworkedScheduler's overrides carry thread-safety annotations
+// naming its protected capabilities, which this wrapper neither holds nor
+// tracks — calling via the unannotated base keeps the wrapper transparent
+// to the analysis (the capabilities are acquired and released inside one
 // inner call chain either way).
 void BackpressureScheduler::SealRound(Round round, std::uint32_t parts) {
   core::Scheduler& base = *inner_;

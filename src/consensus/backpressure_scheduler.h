@@ -88,11 +88,11 @@ class BackpressureScheduler final : public core::Scheduler {
   /// re-baseline the inflow snapshot, then delegate to FDS.
   void BeginRound(Round round) override;
 
-  // The round body and both epilogues delegate unchanged — admission
+  // The round body and the epilogue delegate unchanged — admission
   // control never touches in-round state, which is what keeps the
-  // shard-parallel and pipelined paths bit-identical for free.
+  // shard-parallel and partitioned paths bit-identical for free.
+  // Scheduler::EndRound reaches the inner epilogue through these three.
   void StepShard(ShardId shard, Round round) override;
-  void EndRound(Round round) override;
   void SealRound(Round round, std::uint32_t parts) override;
   void FlushRoundPartition(Round round, std::uint32_t part,
                            std::uint32_t parts) override;

@@ -10,12 +10,9 @@ namespace stableshard::core {
 
 BdsScheduler::BdsScheduler(const net::ShardMetric& metric,
                            CommitLedger& ledger, const BdsConfig& config)
-    : metric_(&metric),
-      ledger_(&ledger),
+    : NetworkedScheduler(metric, ledger),
+      metric_(&metric),
       config_(config),
-      network_(metric),
-      outbox_(metric.shard_count()),
-      ownership_(metric.shard_count()),
       pending_(metric.shard_count()),
       home_(metric.shard_count()),
       co_(metric.shard_count()),
@@ -145,33 +142,6 @@ void BdsScheduler::StepShard(ShardId shard, Round round) {
       SendSubTxnsForColor(shard, *send_color_);
     }
   }
-}
-
-void BdsScheduler::EndRound(Round round) {
-  ownership_.EndParallelPhase();
-  outbox_.Flush(network_, round);
-  ledger_->FlushRound(round);
-}
-
-void BdsScheduler::SealRound(Round round, std::uint32_t parts) {
-  ownership_.BeginFlushPhase();
-  outbox_.Seal();
-  network_.flush_cap.Acquire();  // annotation-only, no runtime effect
-  ledger_->SealJournal(round, parts);
-}
-
-void BdsScheduler::FlushRoundPartition(Round round, std::uint32_t part,
-                                       std::uint32_t parts) {
-  const auto [begin, end] = FlushShardRange(shard_count(), part, parts);
-  const OwnershipRegistry::RangeClaim claim(ownership_, begin, end);
-  outbox_.FlushSealedTo(network_, round, begin, end);
-  ledger_->ResolveSealedPartition(part, round);
-}
-
-void BdsScheduler::FinishRound(Round round) {
-  ownership_.EndParallelPhase();
-  outbox_.FinishSealedFlush(network_);
-  ledger_->FinishSealedRound(round);
 }
 
 void BdsScheduler::ShipPending(ShardId home) {

@@ -12,30 +12,33 @@
 //     validity checks still hold (the schedulers' pin discipline guarantees
 //     they do; a violation aborts the simulation).
 //
-// Shard-parallel rounds: ApplyConfirm mixes shard-local effects (store
-// writes, chain append) with global bookkeeping (resolution records,
-// counters, latency). The decomposed schedulers instead call
-// ApplyConfirmDeferred from StepShard — it performs only the shard-local
-// half (safe for concurrent calls on distinct destinations) and journals
-// the resolution event — and FlushRound from EndRound, which drains the
-// per-shard journals in shard order so the global bookkeeping stays
-// deterministic regardless of thread scheduling.
+// A confirm is applied in two halves. ApplyConfirmDeferred, called from
+// StepShard, performs the shard-local half (store writes, chain append,
+// WAL staging — safe for concurrent calls on distinct destinations) and
+// journals the resolution event. The global half (resolution records,
+// counters, latency) runs in the round epilogue, which is the scheduler's
+// Seal -> FlushPartition -> Finish triple (core/scheduler.h):
 //
-// Pipelined rounds: the journal is double-buffered so the next round's
-// StepShard may keep journaling while pool workers drain the sealed copy.
-// SealJournal swaps the buffers; ResolveSealedPartition applies the
-// remaining-count decrements in parallel; FinishSealedRound folds the
-// counters and latency serially. The parallel stage is partitioned by
-// *transaction id* (txn % parts), NOT by destination: one transaction's
-// subtransactions resolve on several destination shards, so a
-// destination-partitioned drain would race on the shared TxnRecord. With
-// id-residue ownership each record is touched by exactly one worker, in
-// the serial journal-order subsequence, and every completion is tagged
-// with its global journal index so FinishSealedRound can replay the
-// latency recorder in the exact serial order — float accumulation is
-// order-sensitive, and the workers-1-vs-N bit-identity contract covers the
-// latency means. The per-destination sealed journals themselves are only
-// read concurrently.
+//   SealJournal(round, parts)      serial — swap the double-buffered
+//                                  journal, so the next round's StepShard
+//                                  may keep journaling while the sealed
+//                                  copy drains;
+//   ResolveSealedPartition(part)   parallel-safe for distinct parts —
+//                                  apply the remaining-count decrements;
+//   FinishSealedRound(round)       serial — fold counters and latency.
+//
+// With parts = 1 this is the serial drain of the per-shard journals in
+// shard order; the partition count never changes a result. The parallel
+// stage is partitioned by *transaction id* (txn % parts), NOT by
+// destination: one transaction's subtransactions resolve on several
+// destination shards, so a destination-partitioned drain would race on
+// the shared TxnRecord. With id-residue ownership each record is touched
+// by exactly one worker, in the journal-order subsequence, and every
+// completion is tagged with its global journal index so FinishSealedRound
+// can replay the latency recorder in the one-partition order — float
+// accumulation is order-sensitive, and the workers-1-vs-N bit-identity
+// contract covers the latency means. The per-destination sealed journals
+// themselves are only read concurrently.
 #pragma once
 
 #include <cstdint>
@@ -58,22 +61,22 @@ class CommitLedger {
  public:
   /// Annotation-only capability for the sealed-journal window: SealJournal
   /// acquires it, ResolveSealedPartition requires it, FinishSealedRound
-  /// releases it, and every serial-path mutation (RegisterInjection,
-  /// ApplyConfirm, FlushRound) excludes it — so on clang, mutating the
-  /// ledger inside a Seal..Finish window fails compilation (the class
-  /// comment's "no other ledger mutation may overlap" contract). Public so
+  /// releases it, and the between-rounds mutations (RegisterInjection,
+  /// ResetShardForRecovery) exclude it — so on clang, mutating the ledger
+  /// inside a Seal..Finish window fails compilation (the class comment's
+  /// "no other ledger mutation may overlap" contract). Public so
   /// schedulers' annotations can name it; no runtime state.
   common::PhaseCapability journal_cap;
 
   CommitLedger(const chain::AccountMap& map, chain::Balance initial_balance);
 
-  /// Attach a write-ahead log: every ApplyConfirm/ApplyConfirmDeferred
-  /// stages a durable record for its destination shard, sealed and
-  /// persisted alongside the journal (SealJournal drives wal->Seal,
-  /// ResolveSealedPartition drives the partitioned persist, the serial
-  /// FlushRound drives PersistAll). The manager must cover the same shard
-  /// count and outlive the ledger. Optional — without it the ledger
-  /// behaves exactly as before, bit for bit.
+  /// Attach a write-ahead log: every ApplyConfirmDeferred stages a durable
+  /// record for its destination shard, sealed and persisted alongside the
+  /// journal (SealJournal drives wal->Seal, ResolveSealedPartition the
+  /// partitioned persist, FinishSealedRound the durable-seq advance). The
+  /// manager must cover the same shard count and outlive the ledger.
+  /// Optional — without it the ledger behaves exactly as before, bit for
+  /// bit.
   void AttachWal(durability::WalManager* wal);
 
   /// Register a newly injected transaction (latency clock starts; expected
@@ -85,25 +88,16 @@ class CommitLedger {
   /// state: all conditions hold and all actions are valid.
   bool EvaluateSub(const txn::SubTransaction& sub) const;
 
-  /// Apply the coordinator's decision for one subtransaction at `round`.
-  /// On commit: re-checks EvaluateSub (scheduler pin bug otherwise), applies
-  /// the actions and appends a block to the destination's local chain.
-  /// Returns true if the whole transaction became resolved by this call.
-  bool ApplyConfirm(TxnId txn, const txn::SubTransaction& sub, bool commit,
-                    Round round) SSHARD_EXCLUDES(journal_cap);
-
-  /// Shard-local half of ApplyConfirm for the parallel round loop: applies
-  /// the commit effects to `sub.destination`'s store/chain (with the same
-  /// capacity and stale-state checks) and journals the resolution event.
-  /// Safe to call concurrently for distinct destination shards; the global
-  /// bookkeeping happens in FlushRound.
+  /// Apply the coordinator's decision for one subtransaction at `round`,
+  /// shard-local half: on commit, enforces unit shard capacity, re-checks
+  /// EvaluateSub (scheduler pin bug otherwise), applies the actions and
+  /// appends a block to the destination's local chain; either way it
+  /// journals the resolution event. Safe to call concurrently for distinct
+  /// destination shards. The transaction's resolution record, the counters
+  /// and latency update when the round's journal drains (the sealed
+  /// triple below); IsResolved reads false until then.
   void ApplyConfirmDeferred(TxnId txn, const txn::SubTransaction& sub,
                             bool commit, Round round);
-
-  /// Serial: drain the per-shard journals (in shard order) filled by
-  /// ApplyConfirmDeferred during round `round`, updating resolution
-  /// records, counters and latency.
-  void FlushRound(Round round) SSHARD_EXCLUDES(journal_cap);
 
   /// Serial: swap the active journal with the (drained) sealed one and set
   /// up `parts` completion buffers for the partitioned resolution. The next
@@ -120,7 +114,7 @@ class CommitLedger {
   /// index. Each TxnRecord is touched by exactly one partition. No other
   /// ledger mutation (RegisterInjection included) may overlap the
   /// Seal..Finish window.
-  void ResolveSealedPartition(std::uint32_t part, Round round)
+  void ResolveSealedPartition(std::uint32_t part)
       SSHARD_REQUIRES(journal_cap);
 
   /// Serial epilogue: merge the partitions' completion buffers back into
@@ -185,9 +179,6 @@ class CommitLedger {
     bool committed = false;
   };
 
-  /// Global (records/counters/latency) half of a confirm application.
-  void ResolveConfirm(TxnId txn, bool commit, Round round);
-
   const chain::AccountMap* map_;
   chain::Balance initial_balance_;
   durability::WalManager* wal_ = nullptr;  ///< optional, not owned
@@ -196,11 +187,12 @@ class CommitLedger {
   std::vector<Round> last_commit_round_;      // unit-capacity enforcement
   std::vector<std::vector<JournalEntry>> journal_;  // per destination shard
   /// Double buffer of journal_ (swapped by SealJournal; empty outside a
-  /// Seal..Finish window) plus the drain scratch: per-destination global
-  /// index bases and per-partition completion buffers (reused every round).
+  /// Seal..Finish window) plus the drain scratch, reused every round:
+  /// per-partition completion buffers and FinishSealedRound's
+  /// per-partition merge cursors.
   std::vector<std::vector<JournalEntry>> sealed_journal_;
-  std::vector<std::uint64_t> sealed_prefix_;
   std::vector<std::vector<Completion>> completions_;
+  std::vector<std::size_t> merge_cursor_;
   std::uint32_t sealed_parts_ = 0;
   std::unordered_map<TxnId, TxnRecord> records_;
   stats::LatencyRecorder latency_;

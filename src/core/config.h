@@ -142,10 +142,10 @@ struct SimConfig {
   /// serial). Any value produces bit-identical results — the decomposition
   /// is deterministic by construction (see core/scheduler.h).
   std::uint32_t worker_threads = 1;
-  /// Pipelined round epilogue (worker_threads > 1 only): EndRound's flush
-  /// runs destination-partitioned on the pool while the next round's
-  /// adversary generation overlaps on the driving thread. Bit-identical to
-  /// the serial epilogue either way — the switch exists for the
+  /// Partition the round epilogue's flush on the worker pool and overlap
+  /// the next round's adversary generation with it (worker_threads > 1
+  /// only). Off, the driving thread runs the same epilogue with one
+  /// partition. Bit-identical either way — the switch exists for the
   /// before/after comparison in bench/parallel_rounds --phases.
   bool pipeline = true;
   /// Small-grid pool overhead guard: when shards / worker_threads falls

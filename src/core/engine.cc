@@ -226,6 +226,7 @@ void Simulation::StepRound(Round round, Round generate_round) {
     scheduler_->FinishRound(round);
     phase_times_.finish += SecondsSince(mark);
   } else {
+    // The same epilogue with one partition on this thread.
     mark = Clock::now();
     scheduler_->EndRound(round);
     phase_times_.finish += SecondsSince(mark);

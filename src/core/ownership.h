@@ -17,12 +17,13 @@
 // can see; a single-worker Debug run already fails.
 //
 // Phases mirror core/scheduler.h's call-order contract:
-//   kSerial — Inject / BeginRound / EndRound / FinishRound and everything
-//             between rounds: any code may touch any shard (guards pass).
-//   kStep   — between BeginRound's end and EndRound/SealRound: guards
-//             require the calling worker's ShardClaim to cover the shard.
+//   kSerial — Inject / BeginRound / FinishRound and everything between
+//             rounds: any code may touch any shard (guards pass).
+//   kStep   — between BeginRound's end and SealRound: guards require the
+//             calling worker's ShardClaim to cover the shard.
 //   kFlush  — between SealRound and FinishRound: guards require the
-//             worker's RangeClaim (the FlushShardRange) to cover it.
+//             worker's RangeClaim (the FlushShardRange) to cover it; with
+//             one partition the claim is every shard.
 //
 // Zero-cost in Release: under NDEBUG the registry is an empty struct, the
 // claims are empty RAII shells and SSHARD_OWNED compiles to nothing, so

@@ -4,7 +4,7 @@
 // protocol that eventually commits (or aborts) each one through the
 // CommitLedger. The engine calls Inject() for every transaction generated
 // by the adversary at the start of a round, then executes the round in
-// three phases:
+// five phases:
 //
 //   BeginRound(round)        serial — epoch transitions, leader selection,
 //                            per-round work planning; no message traffic.
@@ -17,48 +17,35 @@
 //                            implementations must not touch shared mutable
 //                            state here (ledger bookkeeping goes through
 //                            CommitLedger::ApplyConfirmDeferred).
-//   EndRound(round)          serial — flushes outbox lanes into the
-//                            network in shard order and commits the
-//                            ledger's round journal.
+//   SealRound(round, parts)  serial, cheap — swap the outbox and
+//                            ledger-journal double buffers.
+//   FlushRoundPartition(round, p, parts)
+//                            parallel-safe for distinct p — drain
+//                            partition p of the sealed buffers: deposit
+//                            the outbox items whose *destination* falls in
+//                            the partition's FlushShardRange (each
+//                            destination ring touched by exactly one
+//                            partition, per-destination order preserved by
+//                            construction) and resolve the journal entries
+//                            the partition owns.
+//   FinishRound(round)       serial — fold global counters and latency,
+//                            retire the sealed buffers.
 //
-// The decomposition is deterministic by construction: StepShard bodies are
-// pairwise independent and all cross-shard effects funnel through the
-// shard-ordered flush, so `worker_threads = 1` and `worker_threads = N`
-// produce bit-identical results (asserted by tests/parallel_engine_test).
+// The last three are the round epilogue, and there is exactly one.
+// EndRound(round) runs it with one partition on the calling thread; the
+// engine's pooled driver runs it with one partition per worker and
+// overlaps the next round's adversary generation with the partitions.
+// The decomposition is deterministic by construction: StepShard bodies
+// are pairwise independent, every cross-shard effect funnels through the
+// sealed buffers, and partitions own disjoint destination ranges — so
+// neither `worker_threads` nor the partition count changes a result bit
+// (asserted by tests/parallel_engine_test). Between SealRound and
+// FinishRound scheduler state is not touched by the driving thread, and
+// Inject/BeginRound of the next round happen strictly after FinishRound.
 // Step(round) is the serial convenience driver for tests and examples.
-//
-// Pipelined epilogue. EndRound is itself a serial bottleneck once StepShard
-// is parallel (Amdahl), so the engine's pooled driver replaces it with the
-// equivalent triple
-//
-//   SealRound(round, parts)             serial, cheap — swap the outbox and
-//                                       ledger-journal double buffers.
-//   FlushRoundPartition(round, p, parts) parallel-safe for distinct p —
-//                                       drain partition p of the sealed
-//                                       buffers: deposit outbox items whose
-//                                       *destination* falls in the
-//                                       partition's shard range (each
-//                                       destination ring touched by exactly
-//                                       one worker, per-destination order
-//                                       preserved by construction) and
-//                                       resolve the journal entries the
-//                                       partition owns.
-//   FinishRound(round)                  serial epilogue — fold global
-//                                       counters/latency, retire buffers.
-//
-// The triple must leave every observable bit identical to EndRound(round);
-// the default implementations below make Seal/FlushPartition no-ops and
-// FinishRound delegate to EndRound, so a scheduler that never overrides
-// them is still correct (just unpipelined). Between SealRound and
-// FinishRound the engine may run the adversary's next-round generation on
-// the driving thread — scheduler state is not touched during that window,
-// and Inject/BeginRound of the next round happen strictly after
-// FinishRound.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <utility>
 
 #include "common/arena.h"
 #include "common/types.h"
@@ -69,38 +56,21 @@
 
 namespace stableshard::core {
 
-/// Contiguous destination-shard range owned by flush partition `part` of
-/// `parts`: ranges cover [0, shards) disjointly, so per-destination state is
-/// touched by exactly one partition whatever `parts` is — which is why the
-/// partition count never shows in the results.
-inline std::pair<ShardId, ShardId> FlushShardRange(ShardId shards,
-                                                   std::uint32_t part,
-                                                   std::uint32_t parts) {
-  const ShardId chunk = (shards + parts - 1) / parts;
-  const ShardId begin = static_cast<ShardId>(
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(chunk) * part,
-                              shards));
-  const ShardId end = static_cast<ShardId>(
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(begin) + chunk,
-                              shards));
-  return {begin, end};
-}
-
 // Call-order contract (the engine, and any conforming driver, guarantees
 // it): per round r the sequence is
 //
 //   Inject* -> BeginRound(r) -> StepShard(shard, r) for every shard
-//           -> { EndRound(r) | SealRound(r) -> FlushRoundPartition* ->
-//                FinishRound(r) }
+//           -> SealRound(r, parts) -> FlushRoundPartition(r, p, parts)
+//              for every p < parts -> FinishRound(r)
 //
 // with Inject only ever called between rounds (after the previous round's
-// FinishRound/EndRound, before BeginRound). Thread ownership: everything
-// except StepShard and FlushRoundPartition runs on the driving thread;
-// StepShard may run concurrently for distinct shards, FlushRoundPartition
-// for distinct partitions. Determinism obligation: any state a scheduler
+// FinishRound, before BeginRound). Thread ownership: everything except
+// StepShard and FlushRoundPartition runs on the driving thread; StepShard
+// may run concurrently for distinct shards, FlushRoundPartition for
+// distinct partitions. Determinism obligation: any state a scheduler
 // branches on in a serial phase (including the traffic/queue introspection
 // below) must be bit-identical whatever worker_threads or the pipeline
-// switch — which every counter folded through the serial epilogue is.
+// switch — which every counter folded through FinishRound is.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -120,22 +90,22 @@ class Scheduler {
   /// exactly once per shard per round, possibly concurrently across shards.
   virtual void StepShard(ShardId shard, Round round) = 0;
 
-  /// Serial epilogue: publish queued sends and ledger bookkeeping.
-  virtual void EndRound(Round round) = 0;
-
-  /// Pipelined epilogue (see the class comment). The defaults degrade to a
-  /// fully serial FinishRound == EndRound, which is always correct.
-  virtual void SealRound(Round round, std::uint32_t parts) {
-    (void)round;
-    (void)parts;
-  }
+  /// The round epilogue (see the class comment). Pure virtual: every
+  /// scheduler closes a round through this one path.
+  virtual void SealRound(Round round, std::uint32_t parts) = 0;
   virtual void FlushRoundPartition(Round round, std::uint32_t part,
-                                   std::uint32_t parts) {
-    (void)round;
-    (void)part;
-    (void)parts;
+                                   std::uint32_t parts) = 0;
+  virtual void FinishRound(Round round) = 0;
+
+  /// The epilogue with one partition, on the calling thread (the engine's
+  /// unpooled driver and Step). Virtual only so decorators can time it;
+  /// an override must still run exactly this sequence on its inner
+  /// scheduler.
+  virtual void EndRound(Round round) {
+    SealRound(round, 1);
+    FlushRoundPartition(round, 0, 1);
+    FinishRound(round);
   }
-  virtual void FinishRound(Round round) { EndRound(round); }
 
   /// Number of shards this scheduler operates (== StepShard fan-out).
   virtual ShardId shard_count() const = 0;

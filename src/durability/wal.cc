@@ -1,9 +1,9 @@
 #include "durability/wal.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
+#include "common/shard_range.h"
 
 namespace stableshard::durability {
 
@@ -134,14 +134,9 @@ void WalManager::Seal(Round round, std::uint32_t parts) {
 
 void WalManager::PersistSealedPartition(std::uint32_t part) {
   SSHARD_DCHECK(part < sealed_parts_);
-  // Mirrors core::FlushShardRange — contiguous destination chunks, each
-  // shard's lane touched by exactly one partition.
-  const ShardId shards = shard_count();
-  const ShardId chunk = (shards + sealed_parts_ - 1) / sealed_parts_;
-  const ShardId begin = static_cast<ShardId>(std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(chunk) * part, shards));
-  const ShardId end = static_cast<ShardId>(std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(begin) + chunk, shards));
+  // The outbox drain's range split: each shard's lane is touched by
+  // exactly one partition.
+  const auto [begin, end] = FlushShardRange(shard_count(), part, sealed_parts_);
   for (ShardId shard = begin; shard < end; ++shard) {
     for (const WalRecord& record : sealed_[shard]) {
       AppendWalRecord(storage_->wal[shard], record);
@@ -162,12 +157,6 @@ void WalManager::FinishSealedRound() {
   }
   sealed_round_ = kNoRound;
   sealed_parts_ = 0;
-}
-
-void WalManager::PersistAll(Round round) {
-  Seal(round, 1);
-  PersistSealedPartition(0);
-  FinishSealedRound();
 }
 
 std::uint64_t WalManager::records_persisted() const {

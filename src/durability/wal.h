@@ -11,15 +11,15 @@
 // destinations) and made durable inside the round epilogue before any
 // round r+1 work begins.
 //
-// Pipelined persistence (the mako rocksdb_persistence shape): the WAL
-// piggybacks on the CommitLedger's sealed-journal window. Seal() swaps the
-// staging lanes into a sealed set while the next round keeps staging;
-// PersistSealedPartition(part) encodes the sealed lanes of the contiguous
-// destination-shard chunk owned by `part` (the same range split as
-// core::FlushShardRange, so persistence overlaps the pooled outbox flush
-// with the identical ownership discipline); FinishSealedRound() walks
-// shards serially, advances each shard's durable sequence number and fires
-// the completion callback. Per-shard sequence numbers are assigned at
+// Persistence (the mako rocksdb_persistence shape): the WAL piggybacks on
+// the CommitLedger's sealed-journal window, i.e. on the round epilogue.
+// Seal() swaps the staging lanes into a sealed set while the next round
+// keeps staging; PersistSealedPartition(part) encodes the sealed lanes of
+// the contiguous destination-shard chunk owned by `part` (FlushShardRange,
+// the outbox drain's own split, so persistence overlaps the pooled outbox
+// flush with the identical ownership discipline); FinishSealedRound()
+// walks shards serially, advances each shard's durable sequence number and
+// fires the completion callback. Per-shard sequence numbers are assigned at
 // staging time — shard-owned, monotonic from 1 — so "records with
 // seq <= durable_seq(shard) are on disk" is the recovery contract.
 //
@@ -122,8 +122,6 @@ class WalManager {
   /// Serial epilogue: advance durable sequence numbers in shard order,
   /// fire callbacks, retire the sealed lanes.
   void FinishSealedRound();
-  /// Serial path (unpipelined EndRound): Seal + full persist + finish.
-  void PersistAll(Round round);
 
   void set_on_durable(DurableCallback callback) {
     on_durable_ = std::move(callback);

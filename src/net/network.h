@@ -6,8 +6,9 @@
 // one-round intra-shard consensus on the message).
 //
 // The network layer assumes the cluster-sending protocol of Hellings &
-// Sadoghi (modelled in src/consensus): delivery is reliable and agreed upon
-// by all non-faulty nodes of the receiving shard within the round budget.
+// Sadoghi (see docs/ARCHITECTURE.md, "One round per decision"): delivery
+// is reliable and agreed upon by all non-faulty nodes of the receiving
+// shard within the round budget.
 // Here we account for traffic (messages, payload units) and delay only.
 //
 // Storage is a *lazily grown per-destination ring*: each destination shard
@@ -32,10 +33,25 @@
 // across rounds instead of being reallocated every delivery. Schedulers
 // keep one inbox buffer per shard for exactly this purpose.
 //
+// Two ways in. Schedulers never call Send: their sends reach the network
+// through the round epilogue's partitioned flush (net/outbox.h). Deposit
+// is the destination-parallel half of Send — it takes an explicit sequence
+// number and touches only the destination's ring, pending counter and
+// inbound traffic split, so partitions owning disjoint destination sets
+// may Deposit concurrently. The sender-side split and the global counters
+// (seq_, stats_, max_in_flight) are folded back serially afterwards via
+// AddSenderTraffic + CommitPartitionedSends, which reproduce exactly the
+// values per-send updates would have left: within one flush no delivery
+// runs, so in-flight grows monotonically and its peak is attained at the
+// last deposited envelope. Send is the one-message form for direct
+// drivers (unit tests, component benches).
+//
 // Concurrency contract (the shard-parallel round loop relies on it):
-//   * Send may only be called from serial phases (BeginRound/EndRound or
-//     fully single-threaded drivers) — it grows rings lazily, so it is
-//     never safe concurrently with anything;
+//   * Send may only be called outside a flush window from a single
+//     thread — it grows rings lazily, so it is never safe concurrently
+//     with anything;
+//   * Deposit may run concurrently for disjoint destination sets inside
+//     the flush window (see flush_cap);
 //   * DeliverTo(shard, round) may run concurrently for *distinct* shards:
 //     it touches only that destination's ring and per-shard counters
 //     (delivered_total_ is a relaxed atomic used for stats only);
@@ -43,19 +59,9 @@
 //     synchronous simulation steps every shard every round, which is what
 //     keeps ring slots empty before reuse (DCHECKed per envelope).
 //
-// Partitioned flush (the pipelined EndRound, see net/outbox.h): Deposit is
-// the destination-parallel half of Send — it takes an explicit sequence
-// number and touches only the destination's ring, pending counter and
-// inbound traffic split, so workers owning disjoint destination sets may
-// Deposit concurrently. The sender-side split and the global counters
-// (seq_, stats_, max_in_flight) are folded back serially afterwards via
-// AddSenderTraffic + CommitPartitionedSends, which reproduce exactly the
-// values the per-send updates would have left: within one flush no delivery
-// runs, so in-flight grows monotonically and its peak is attained at the
-// last deposited envelope.
-//
-// Network<Payload> is a class template so each scheduler can use its own
-// message variant without type erasure on the hot path.
+// Network<Payload> is a class template so the schedulers' core::Message
+// variant travels without type erasure on the hot path, and unit tests can
+// use plain payloads.
 #pragma once
 
 #include <algorithm>
@@ -183,7 +189,7 @@ class Network {
   /// number. Touches only rings_[to], pending_by_dest_[to] and the inbound
   /// half of shard_traffic_[to], so callers owning disjoint destination
   /// sets may run concurrently. The caller must hand out seq values that
-  /// continue next_seq() in the serial flush order and finish the flush
+  /// continue next_seq() in sender-lane order and finish the flush
   /// with AddSenderTraffic + CommitPartitionedSends before any other
   /// network call.
   void Deposit(ShardId from, ShardId to, Round now, std::uint64_t seq,

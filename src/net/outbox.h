@@ -3,38 +3,34 @@
 // During StepShard(shard, round) a scheduler may only mutate shard-local
 // state, so it cannot call Network::Send (a serial-phase operation)
 // directly. Instead every acting shard appends to its own lane — lane index
-// == the sending shard — and the round epilogue flushes lanes 0..s-1 in
-// order. The flush order is a pure function of per-lane contents, so the
-// resulting global send sequence (and hence every downstream delivery
+// == the sending shard — and the round epilogue hands lanes 0..s-1 to the
+// network in order. That order is a pure function of per-lane contents, so
+// the resulting global send sequence (and hence every downstream delivery
 // order) is bit-identical no matter how StepShard calls were scheduled
 // across threads.
 //
-// Two flush drivers exist:
+// The flush is the triple Seal / FlushSealedTo / FinishSealedFlush, driven
+// by the scheduler's round epilogue (core/scheduler.h). The lanes are
+// *double-buffered*: Seal swaps the active buffer with the (empty) sealed
+// one, so the scheduler's next round may keep appending to fresh lanes
+// while pool workers drain the sealed buffer. The drain is partitioned by
+// *destination*: each partition walks every sealed lane in sender order,
+// reconstructs each item's global flush index (lane prefix + position)
+// and Deposits only the items addressed to its destination range. Each
+// destination's ring is therefore touched by exactly one partition and
+// receives its items in sender-lane order — the only order schedulers
+// ever observe — whatever the partition count; one partition covering
+// every destination is the serial flush. FinishSealedFlush folds the
+// sender-side traffic split and the global counters back serially and
+// retires the sealed lanes.
 //
-//   * Flush(network, now) — the serial classic: walk the active lanes in
-//     shard order and Network::Send every item (single-threaded drivers and
-//     Scheduler::Step).
-//   * the pipelined triple Seal / FlushSealedTo / FinishSealedFlush — the
-//     lanes are *double-buffered*: Seal swaps the active buffer with the
-//     (empty) sealed one, so the scheduler's next round may keep appending
-//     to fresh lanes while pool workers drain the sealed buffer. The drain
-//     is partitioned by *destination*: each worker walks every sealed lane
-//     in sender order, reconstructs each item's global flush index (lane
-//     prefix + position, the seq the serial flush would have assigned) and
-//     Deposits only the items addressed to its destination range. Each
-//     destination's ring is therefore touched by exactly one worker and
-//     receives its items in exactly the serial per-destination order — the
-//     only order schedulers ever observe. FinishSealedFlush folds the
-//     sender-side traffic split and the global counters back serially and
-//     retires the sealed lanes.
-//
-// Lane memory: Flush used to clear() lanes but never release capacity, so
-// one burst round pinned the peak footprint for the rest of the run. Lanes
-// now keep a per-sender decayed high-water mark: each retire decays the
-// mark by 25% (floored by the round's size) and, once a lane's capacity
-// overshoots several times the mark, reallocates it to high-water + 50%
-// headroom — memory decays geometrically after a burst, mirroring the lazy
-// network rings. lane_memory() reports the footprint (see net::RingMemory).
+// Lane memory: one burst round must not pin its capacity for the rest of
+// the run, so each sender keeps a decayed high-water mark. Each retire
+// decays the mark by 25% (floored by the round's size) and, once a lane's
+// capacity overshoots several times the mark, reallocates it to
+// high-water + 50% headroom — memory decays geometrically after a burst,
+// mirroring the lazy network rings. lane_memory() reports the footprint
+// (see net::RingMemory).
 #pragma once
 
 #include <algorithm>
@@ -62,12 +58,11 @@ template <typename Payload>
 class OutboxSet {
  public:
   /// Annotation-only capability for the sealed-buffer window: Seal
-  /// acquires it, FlushSealedTo requires it, FinishSealedFlush releases
-  /// it, and the serial Flush excludes it — so on clang, running the
-  /// serial flush (which drains the *active* lanes) inside a
-  /// Seal..FinishSealedFlush window fails compilation instead of
-  /// double-draining a round. Public so callers' annotations can name it;
-  /// no runtime state (see common/mutex.h).
+  /// acquires it, FlushSealedTo requires it and FinishSealedFlush releases
+  /// it — so on clang, draining outside a Seal..FinishSealedFlush window,
+  /// or sealing twice without finishing, fails compilation instead of
+  /// losing or double-draining a round. Public so callers' annotations can
+  /// name it; no runtime state (see common/mutex.h).
   common::PhaseCapability sealed_cap;
 
   struct Item {
@@ -90,20 +85,6 @@ class OutboxSet {
     lane.payload_units += payload_units;
   }
 
-  /// Serial: hand every queued item to the network at round `now`, lane by
-  /// lane in shard order, preserving per-lane append order.
-  void Flush(Network<Payload>& network, Round now)
-      SSHARD_EXCLUDES(sealed_cap) {
-    std::vector<Lane>& lanes = buffers_[active_];
-    for (ShardId from = 0; from < lanes.size(); ++from) {
-      for (Item& item : lanes[from].items) {
-        network.Send(from, item.to, now, std::move(item.payload),
-                     item.payload_units);
-      }
-      RetireLane(from, lanes[from]);
-    }
-  }
-
   /// Serial: swap the active buffer with the (drained) sealed one. The
   /// scheduler may keep Sending into the fresh active lanes while pool
   /// workers FlushSealedTo the sealed buffer.
@@ -120,8 +101,8 @@ class OutboxSet {
   /// Partitioned drain of the sealed buffer: deposit every sealed item
   /// addressed to a destination in [dest_begin, dest_end) at round `now`.
   /// Walks all lanes in sender order so each item's global flush index is
-  /// reconstructed exactly as the serial Flush would have assigned it.
-  /// Safe to run concurrently for disjoint destination ranges.
+  /// the same whatever the destination split. Safe to run concurrently for
+  /// disjoint destination ranges.
   void FlushSealedTo(Network<Payload>& network, Round now, ShardId dest_begin,
                      ShardId dest_end)
       SSHARD_REQUIRES(sealed_cap, network.flush_cap) {

@@ -3,6 +3,9 @@
 // (unit shard capacity, stale-state commits).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "chain/account_map.h"
 #include "core/commit_ledger.h"
 #include "txn/txn_factory.h"
@@ -10,12 +13,29 @@
 namespace stableshard::core {
 namespace {
 
+/// Close round `round` of `ledger` through the sealed-journal triple,
+/// resolving the partitions in the order listed (their count is `parts`).
+/// The default is the one-partition drain every unpooled round runs.
+void Drain(CommitLedger& ledger, Round round,
+           const std::vector<std::uint32_t>& order = {0}) {
+  ledger.SealJournal(round, static_cast<std::uint32_t>(order.size()));
+  for (const std::uint32_t part : order) ledger.ResolveSealedPartition(part);
+  ledger.FinishSealedRound(round);
+}
+
 class CommitLedgerTest : public ::testing::Test {
  protected:
   CommitLedgerTest()
       : map_(chain::AccountMap::RoundRobin(4, 4)),
         ledger_(map_, /*initial_balance=*/1000),
         factory_(map_) {}
+
+  /// Apply one confirm and close its round (one partition).
+  void Confirm(const txn::Transaction& txn, const txn::SubTransaction& sub,
+               bool commit, Round round) {
+    ledger_.ApplyConfirmDeferred(txn.id(), sub, commit, round);
+    Drain(ledger_, round);
+  }
 
   chain::AccountMap map_;
   CommitLedger ledger_;
@@ -47,13 +67,11 @@ TEST_F(CommitLedgerTest, EvaluateChecksConditionsAndValidity) {
 TEST_F(CommitLedgerTest, CommitAppliesActionsAndAppendsBlocks) {
   const auto txn = factory_.MakeTransfer(0, 0, 0, 1, 100, 500);
   ledger_.RegisterInjection(txn);
-  Round round = 5;
-  bool resolved = false;
-  for (const auto& sub : txn.subs()) {
-    resolved = ledger_.ApplyConfirm(txn.id(), sub, /*commit=*/true, round);
-    ++round;  // different shards, different rounds allowed (kOrdered)
-  }
-  EXPECT_TRUE(resolved);
+  ASSERT_EQ(txn.subs().size(), 2u);
+  Confirm(txn, txn.subs()[0], /*commit=*/true, /*round=*/5);
+  EXPECT_FALSE(ledger_.IsResolved(txn.id()));
+  // Different shards, different rounds allowed (kOrdered).
+  Confirm(txn, txn.subs()[1], /*commit=*/true, /*round=*/6);
   EXPECT_TRUE(ledger_.IsResolved(txn.id()));
   EXPECT_EQ(ledger_.committed_txns(), 1u);
   EXPECT_EQ(ledger_.store(map_.OwnerOf(0)).BalanceOf(0), 900);
@@ -67,8 +85,9 @@ TEST_F(CommitLedgerTest, AbortLeavesStateUntouched) {
   const auto txn = factory_.MakeTransfer(0, 0, 0, 1, 100, 500);
   ledger_.RegisterInjection(txn);
   for (const auto& sub : txn.subs()) {
-    ledger_.ApplyConfirm(txn.id(), sub, /*commit=*/false, 3);
+    ledger_.ApplyConfirmDeferred(txn.id(), sub, /*commit=*/false, 3);
   }
+  Drain(ledger_, 3);
   EXPECT_EQ(ledger_.aborted_txns(), 1u);
   EXPECT_EQ(ledger_.store(map_.OwnerOf(0)).BalanceOf(0), 1000);
   for (const auto& chain : ledger_.chains()) EXPECT_TRUE(chain.empty());
@@ -80,32 +99,37 @@ TEST_F(CommitLedgerTest, PendingCountsUnresolved) {
   ledger_.RegisterInjection(t0);
   ledger_.RegisterInjection(t1);
   EXPECT_EQ(ledger_.pending(), 2u);
-  ledger_.ApplyConfirm(t0.id(), t0.subs()[0], true, 1);
+  ledger_.ApplyConfirmDeferred(t0.id(), t0.subs()[0], true, 1);
+  // Journaled, not yet resolved: resolution waits for the round's drain.
+  EXPECT_EQ(ledger_.pending(), 2u);
+  EXPECT_FALSE(ledger_.IsResolved(t0.id()));
+  Drain(ledger_, 1);
   EXPECT_EQ(ledger_.pending(), 1u);
+  EXPECT_TRUE(ledger_.IsResolved(t0.id()));
 }
 
 TEST_F(CommitLedgerTest, LatencyRecordedAtLastSub) {
   const auto txn = factory_.MakeTouch(0, /*injected=*/10, {0, 1});
   ledger_.RegisterInjection(txn);
-  ledger_.ApplyConfirm(txn.id(), txn.subs()[0], true, 20);
+  Confirm(txn, txn.subs()[0], true, 20);
   EXPECT_EQ(ledger_.latency().resolved(), 0u);
-  ledger_.ApplyConfirm(txn.id(), txn.subs()[1], true, 31);
+  Confirm(txn, txn.subs()[1], true, 31);
   EXPECT_EQ(ledger_.latency().resolved(), 1u);
   EXPECT_DOUBLE_EQ(ledger_.latency().average_latency(), 21.0);
 }
 
-TEST_F(CommitLedgerTest, SealedJournalMatchesSerialFlush) {
-  // Two identical deferred-confirm rounds: one drained by the serial
-  // FlushRound, the other by the sealed-journal triple with 3 partitions
-  // applied out of order. Every counter and the (order-sensitive) latency
-  // mean must agree bit-for-bit.
-  CommitLedger serial(map_, 1000);
-  CommitLedger pipelined(map_, 1000);
+TEST_F(CommitLedgerTest, PartitionCountNeverShowsInTheDrain) {
+  // Two identical deferred-confirm rounds: one ledger drains each round
+  // with one partition, the other with 3 and then 2 partitions resolved
+  // out of order. Every counter and the (order-sensitive) latency mean
+  // must agree bit-for-bit, and both must match the hand-computed values.
+  CommitLedger one(map_, 1000);
+  CommitLedger split(map_, 1000);
 
   const auto a = factory_.MakeTouch(0, /*injected=*/0, {0, 1, 2});
   const auto b = factory_.MakeTouch(1, /*injected=*/1, {3});
   const auto c = factory_.MakeTouch(2, /*injected=*/1, {1, 3});
-  for (CommitLedger* ledger : {&serial, &pipelined}) {
+  for (CommitLedger* ledger : {&one, &split}) {
     for (const auto* txn : {&a, &b, &c}) {
       ledger->RegisterInjection(*txn);
     }
@@ -117,37 +141,44 @@ TEST_F(CommitLedgerTest, SealedJournalMatchesSerialFlush) {
     ledger->ApplyConfirmDeferred(b.id(), b.subs()[0], /*commit=*/false, 4);
     ledger->ApplyConfirmDeferred(c.id(), c.subs()[1], /*commit=*/false, 4);
   }
+  Drain(one, 4);
+  Drain(split, 4, {2, 0, 1});
 
-  serial.FlushRound(4);
-  pipelined.SealJournal(/*round=*/4, /*parts=*/3);
-  pipelined.ResolveSealedPartition(2, 4);
-  pipelined.ResolveSealedPartition(0, 4);
-  pipelined.ResolveSealedPartition(1, 4);
-  pipelined.FinishSealedRound(4);
+  // After round 4: a committed (latency 4), b aborted (latency 3).
+  for (const CommitLedger* ledger : {&one, &split}) {
+    EXPECT_EQ(ledger->resolved(), 2u);
+    EXPECT_EQ(ledger->committed_txns(), 1u);
+    EXPECT_EQ(ledger->aborted_txns(), 1u);
+    EXPECT_EQ(ledger->pending(), 1u);
+    EXPECT_FALSE(ledger->IsResolved(c.id()));
+    EXPECT_DOUBLE_EQ(ledger->latency().average_latency(), 3.5);
+  }
 
   // Round 5: c's remaining sub arrives and completes the abort.
-  for (CommitLedger* ledger : {&serial, &pipelined}) {
+  for (CommitLedger* ledger : {&one, &split}) {
     ledger->ApplyConfirmDeferred(c.id(), c.subs()[0], /*commit=*/false, 5);
   }
-  serial.FlushRound(5);
-  pipelined.SealJournal(/*round=*/5, /*parts=*/2);
-  pipelined.ResolveSealedPartition(1, 5);
-  pipelined.ResolveSealedPartition(0, 5);
-  pipelined.FinishSealedRound(5);
+  Drain(one, 5);
+  Drain(split, 5, {1, 0});
 
-  EXPECT_EQ(serial.resolved(), pipelined.resolved());
-  EXPECT_EQ(serial.committed_txns(), pipelined.committed_txns());
-  EXPECT_EQ(serial.aborted_txns(), pipelined.aborted_txns());
-  EXPECT_EQ(serial.pending(), pipelined.pending());
-  EXPECT_EQ(serial.committed_txns(), 1u);
-  EXPECT_EQ(serial.aborted_txns(), 2u);
-  EXPECT_TRUE(pipelined.IsResolved(a.id()));
-  EXPECT_TRUE(pipelined.IsResolved(b.id()));
-  EXPECT_TRUE(pipelined.IsResolved(c.id()));
-  EXPECT_DOUBLE_EQ(serial.latency().average_latency(),
-                   pipelined.latency().average_latency());
-  EXPECT_DOUBLE_EQ(serial.latency().max_latency(),
-                   pipelined.latency().max_latency());
+  EXPECT_EQ(one.resolved(), split.resolved());
+  EXPECT_EQ(one.committed_txns(), split.committed_txns());
+  EXPECT_EQ(one.aborted_txns(), split.aborted_txns());
+  EXPECT_EQ(one.pending(), split.pending());
+  EXPECT_EQ(one.latency().average_latency(),
+            split.latency().average_latency());
+  EXPECT_EQ(one.latency().max_latency(), split.latency().max_latency());
+  // c aborted with latency 5 - 1 = 4: latencies {4, 3, 4}.
+  EXPECT_EQ(one.resolved(), 3u);
+  EXPECT_EQ(one.committed_txns(), 1u);
+  EXPECT_EQ(one.aborted_txns(), 2u);
+  EXPECT_EQ(one.pending(), 0u);
+  for (const auto* txn : {&a, &b, &c}) {
+    EXPECT_TRUE(one.IsResolved(txn->id()));
+    EXPECT_TRUE(split.IsResolved(txn->id()));
+  }
+  EXPECT_DOUBLE_EQ(one.latency().average_latency(), 11.0 / 3.0);
+  EXPECT_DOUBLE_EQ(one.latency().max_latency(), 4.0);
 }
 
 TEST_F(CommitLedgerTest, SealedJournalSupportsMorePartitionsThanEntries) {
@@ -156,7 +187,7 @@ TEST_F(CommitLedgerTest, SealedJournalSupportsMorePartitionsThanEntries) {
   ledger_.ApplyConfirmDeferred(txn.id(), txn.subs()[0], /*commit=*/true, 1);
   ledger_.SealJournal(/*round=*/1, /*parts=*/8);
   for (std::uint32_t part = 0; part < 8; ++part) {
-    ledger_.ResolveSealedPartition(part, 1);
+    ledger_.ResolveSealedPartition(part);
   }
   ledger_.FinishSealedRound(1);
   EXPECT_TRUE(ledger_.IsResolved(txn.id()));
@@ -166,8 +197,8 @@ TEST_F(CommitLedgerTest, SealedJournalSupportsMorePartitionsThanEntries) {
 TEST_F(CommitLedgerTest, MixedDecisionCountsAsAborted) {
   const auto txn = factory_.MakeTouch(0, 0, {0, 1});
   ledger_.RegisterInjection(txn);
-  ledger_.ApplyConfirm(txn.id(), txn.subs()[0], false, 1);
-  ledger_.ApplyConfirm(txn.id(), txn.subs()[1], false, 2);
+  Confirm(txn, txn.subs()[0], /*commit=*/true, 1);
+  Confirm(txn, txn.subs()[1], /*commit=*/false, 2);
   EXPECT_EQ(ledger_.aborted_txns(), 1u);
   EXPECT_EQ(ledger_.committed_txns(), 0u);
 }
@@ -185,9 +216,9 @@ TEST_F(CommitLedgerDeathTest, UnitShardCapacityEnforced) {
   const auto t1 = factory_.MakeTouch(0, 0, {0});
   ledger_.RegisterInjection(t0);
   ledger_.RegisterInjection(t1);
-  ledger_.ApplyConfirm(t0.id(), t0.subs()[0], true, /*round=*/7);
+  ledger_.ApplyConfirmDeferred(t0.id(), t0.subs()[0], true, /*round=*/7);
   // Second commit on the same shard in the same round must abort.
-  EXPECT_DEATH(ledger_.ApplyConfirm(t1.id(), t1.subs()[0], true, 7),
+  EXPECT_DEATH(ledger_.ApplyConfirmDeferred(t1.id(), t1.subs()[0], true, 7),
                "two commits");
 }
 
@@ -199,19 +230,20 @@ TEST_F(CommitLedgerDeathTest, StaleCommitDetected) {
   ledger_.RegisterInjection(t0);
   ledger_.RegisterInjection(t1);
   for (const auto& sub : t0.subs()) {
-    ledger_.ApplyConfirm(t0.id(), sub, true, 1);
+    ledger_.ApplyConfirmDeferred(t0.id(), sub, true, 1);
   }
+  Drain(ledger_, 1);
   for (const auto& sub : t1.subs()) {
     if (sub.destination == map_.OwnerOf(0)) {
-      EXPECT_DEATH(ledger_.ApplyConfirm(t1.id(), sub, true, 2), "stale");
+      EXPECT_DEATH(ledger_.ApplyConfirmDeferred(t1.id(), sub, true, 2),
+                   "stale");
     }
   }
 }
 
 TEST_F(CommitLedgerDeathTest, ConfirmForUnknownTxnAborts) {
   const auto txn = factory_.MakeTouch(0, 0, {0});
-  EXPECT_DEATH(ledger_.ApplyConfirm(txn.id(), txn.subs()[0], true, 1),
-               "unregistered");
+  EXPECT_DEATH(Confirm(txn, txn.subs()[0], true, 1), "unregistered");
 }
 
 }  // namespace

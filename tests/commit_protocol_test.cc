@@ -35,16 +35,22 @@ class CommitProtocolTest : public ::testing::Test {
                   mode),
         factory_(map_) {}
 
-  /// Run one synchronous round: deliver + vote + flush (the serial
-  /// equivalent of BeginRound / StepShard* / EndRound).
+  /// Run one synchronous round: deliver + vote, then the one-partition
+  /// round epilogue (the serial equivalent of BeginRound / StepShard* /
+  /// EndRound).
   void Step() {
     for (auto& envelope : network_.Deliver(round_)) {
       ASSERT_TRUE(
           protocol_.HandleMessage(envelope.to, envelope.payload, round_));
     }
     protocol_.IssueVotes(round_);
-    outbox_.Flush(network_, round_);
-    ledger_.FlushRound(round_);
+    outbox_.Seal();
+    network_.flush_cap.Acquire();  // annotation-only, no runtime effect
+    ledger_.SealJournal(round_, /*parts=*/1);
+    outbox_.FlushSealedTo(network_, round_, 0, kShards);
+    ledger_.ResolveSealedPartition(0);
+    outbox_.FinishSealedFlush(network_);
+    ledger_.FinishSealedRound(round_);
     ++round_;
   }
 

@@ -2,7 +2,12 @@
 // serializability via the id-ordered queues, across topologies.
 #include <gtest/gtest.h>
 
+#include "chain/account_map.h"
+#include "core/commit_ledger.h"
+#include "core/direct.h"
+#include "net/metric.h"
 #include "sim_test_util.h"
+#include "txn/txn_factory.h"
 
 namespace stableshard {
 namespace {
@@ -62,6 +67,32 @@ TEST(Direct, WideTransactionsStillLive) {
   Simulation sim(config);
   const auto result = sim.Run();
   ExpectDrainedRunInvariants(sim, result, false);
+}
+
+TEST(Direct, IdleUntilInjectionsShipAndDrain) {
+  // Inject counts a transaction as waiting; BeginRound clears the count
+  // because the StepShard fan-out that follows ships it. Idle() must read
+  // false from Inject until the transaction resolves, then true.
+  constexpr ShardId kShards = 4;
+  const net::LineMetric metric(kShards);
+  const chain::AccountMap map = chain::AccountMap::RoundRobin(kShards, 8);
+  core::CommitLedger ledger(map, /*initial_balance=*/1000);
+  core::DirectScheduler scheduler(metric, ledger);
+  txn::TxnFactory factory(map);
+  EXPECT_TRUE(scheduler.Idle());
+
+  const auto txn = factory.MakeTouch(/*home=*/1, /*injected=*/0, {0, 3});
+  ledger.RegisterInjection(txn);
+  scheduler.Inject(txn);
+  EXPECT_FALSE(scheduler.Idle());
+
+  Round round = 0;
+  scheduler.Step(round++);
+  EXPECT_FALSE(scheduler.Idle());  // shipped, subtransactions in flight
+  while (!scheduler.Idle() && round < 64) scheduler.Step(round++);
+  EXPECT_TRUE(scheduler.Idle());
+  EXPECT_TRUE(ledger.IsResolved(txn.id()));
+  EXPECT_EQ(ledger.committed_txns(), 1u);
 }
 
 }  // namespace

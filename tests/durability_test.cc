@@ -122,15 +122,15 @@ TEST(WalRecordTest, CorruptChecksumDetected) {
   EXPECT_EQ(reader.Next(&out), WalReader::Status::kCorrupt);
 }
 
-TEST(WalManagerTest, PartitionedPersistMatchesSerial) {
-  // The same staged records persisted through the sealed-partition triple
-  // (parts applied out of order) and through PersistAll must produce
-  // byte-identical lanes and the same durable sequence numbers.
-  MemoryStorage serial_storage(5);
-  MemoryStorage pipelined_storage(5);
-  WalManager serial(5, &serial_storage);
-  WalManager pipelined(5, &pipelined_storage);
-  for (WalManager* wal : {&serial, &pipelined}) {
+TEST(WalManagerTest, PartitionCountNeverShowsInThePersist) {
+  // The same staged records persisted with one partition and with three
+  // partitions applied out of order must produce byte-identical lanes and
+  // the same durable sequence numbers — and the hand-computed ones.
+  MemoryStorage one_storage(5);
+  MemoryStorage split_storage(5);
+  WalManager one(5, &one_storage);
+  WalManager split(5, &split_storage);
+  for (WalManager* wal : {&one, &split}) {
     for (ShardId shard = 0; shard < 5; ++shard) {
       wal->StageCommit(shard, /*txn=*/100 + shard, /*round=*/3,
                        /*payload_digest=*/777, {Deposit(shard, 5)});
@@ -139,25 +139,44 @@ TEST(WalManagerTest, PartitionedPersistMatchesSerial) {
   }
 
   std::vector<ShardId> durable_order;
-  pipelined.set_on_durable(
+  split.set_on_durable(
       [&durable_order](ShardId shard, std::uint64_t seq, Round round) {
         durable_order.push_back(shard);
         EXPECT_EQ(round, 3u);
         EXPECT_GE(seq, 1u);
       });
 
-  serial.PersistAll(3);
-  pipelined.Seal(3, /*parts=*/3);
-  pipelined.PersistSealedPartition(2);
-  pipelined.PersistSealedPartition(0);
-  pipelined.PersistSealedPartition(1);
-  pipelined.FinishSealedRound();
+  one.Seal(3, /*parts=*/1);
+  one.PersistSealedPartition(0);
+  one.FinishSealedRound();
+  split.Seal(3, /*parts=*/3);
+  split.PersistSealedPartition(2);
+  split.PersistSealedPartition(0);
+  split.PersistSealedPartition(1);
+  split.FinishSealedRound();
 
   for (ShardId shard = 0; shard < 5; ++shard) {
-    EXPECT_EQ(serial_storage.wal[shard], pipelined_storage.wal[shard]);
-    EXPECT_EQ(serial.durable_seq(shard), pipelined.durable_seq(shard));
+    EXPECT_EQ(one_storage.wal[shard], split_storage.wal[shard]);
+    EXPECT_EQ(one.durable_seq(shard), split.durable_seq(shard));
+    // Even shards staged a commit (seq 1) and an abort (seq 2).
+    EXPECT_EQ(one.durable_seq(shard), shard % 2 == 0 ? 2u : 1u);
+    WalReader reader(one_storage.wal[shard]);
+    WalRecord record;
+    ASSERT_EQ(reader.Next(&record), WalReader::Status::kRecord);
+    EXPECT_EQ(record.type, WalRecordType::kCommit);
+    EXPECT_EQ(record.seq, 1u);
+    EXPECT_EQ(record.txn, 100u + shard);
+    EXPECT_EQ(record.payload_digest, 777u);
+    if (shard % 2 == 0) {
+      ASSERT_EQ(reader.Next(&record), WalReader::Status::kRecord);
+      EXPECT_EQ(record.type, WalRecordType::kAbort);
+      EXPECT_EQ(record.seq, 2u);
+      EXPECT_EQ(record.txn, 200u + shard);
+    }
+    EXPECT_EQ(reader.Next(&record), WalReader::Status::kEndOfLog);
   }
-  EXPECT_EQ(serial.records_persisted(), pipelined.records_persisted());
+  EXPECT_EQ(one.records_persisted(), 8u);
+  EXPECT_EQ(split.records_persisted(), 8u);
   // Callbacks fire serially in shard order whatever the partition order.
   EXPECT_EQ(durable_order, (std::vector<ShardId>{0, 1, 2, 3, 4}));
 }
@@ -319,7 +338,8 @@ class RecoveryTest : public ::testing::Test {
     ledger_.AttachWal(&wal_);
   }
 
-  /// Commit one round's worth of transfers and persist it, serial-path.
+  /// Commit one round's worth of transfers and persist it through the
+  /// one-partition round epilogue.
   void CommitRound(Round round) {
     const auto txn = factory_.MakeTransfer(
         /*home=*/static_cast<ShardId>(round % 4), /*injected=*/round,
@@ -329,7 +349,9 @@ class RecoveryTest : public ::testing::Test {
     for (const auto& sub : txn.subs()) {
       ledger_.ApplyConfirmDeferred(txn.id(), sub, /*commit=*/true, round);
     }
-    ledger_.FlushRound(round);
+    ledger_.SealJournal(round, /*parts=*/1);
+    ledger_.ResolveSealedPartition(0);
+    ledger_.FinishSealedRound(round);
   }
 
   Blob ImageOf(ShardId shard) {

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/shard_range.h"
 #include "net/metric.h"
 #include "net/network.h"
 #include "net/outbox.h"
@@ -395,6 +397,23 @@ TEST(Network, MaxInFlightTracksPeakAcrossDeliveries) {
   EXPECT_EQ(network.stats().max_in_flight, 3u);
 }
 
+/// Seal `outbox`, drain it into `network` at round `now` in the listed
+/// destination partitions (of `parts` in total), and finish — the round
+/// epilogue's outbox half. The default is the one-partition drain.
+template <typename Payload>
+void FlushOutbox(OutboxSet<Payload>& outbox, Network<Payload>& network,
+                 Round now, std::uint32_t parts = 1,
+                 const std::vector<std::uint32_t>& order = {0}) {
+  outbox.Seal();
+  network.flush_cap.Acquire();  // annotation-only, no runtime effect
+  for (const std::uint32_t part : order) {
+    const auto [begin, end] =
+        FlushShardRange(outbox.shard_count(), part, parts);
+    outbox.FlushSealedTo(network, now, begin, end);
+  }
+  outbox.FinishSealedFlush(network);
+}
+
 TEST(Outbox, FlushesLanesInShardOrder) {
   UniformMetric metric(4);
   Network<int> network(metric);
@@ -405,7 +424,7 @@ TEST(Outbox, FlushesLanesInShardOrder) {
   outbox.Send(2, 1, 21, /*payload_units=*/3);
   outbox.Send(1, 3, 10);
   EXPECT_FALSE(outbox.Empty());
-  outbox.Flush(network, /*now=*/5);
+  FlushOutbox(outbox, network, /*now=*/5);
   EXPECT_TRUE(outbox.Empty());
   EXPECT_EQ(network.stats().messages_sent, 4u);
   EXPECT_EQ(network.stats().payload_units, 6u);
@@ -417,17 +436,20 @@ TEST(Outbox, FlushesLanesInShardOrder) {
   EXPECT_EQ(delivered[1].payload, 10);  // lane 1
   EXPECT_EQ(delivered[2].payload, 20);  // lane 2, append order
   EXPECT_EQ(delivered[3].payload, 21);
+  for (std::size_t i = 0; i < delivered.size(); ++i) {
+    EXPECT_EQ(delivered[i].seq, i);  // global flush index = lane order
+  }
 }
 
-TEST(Outbox, PartitionedFlushMatchesSerial) {
-  // Same sends through the serial Flush and through the pipelined triple
-  // (sealed, drained in two destination partitions applied in REVERSE
-  // order): delivery order, per-envelope seqs and every stat must agree.
+TEST(Outbox, PartitionCountNeverShowsInTheFlush) {
+  // The same sends drained in one partition and in two destination
+  // partitions applied in REVERSE order: delivery order, per-envelope
+  // seqs and every stat must agree, and match the hand-computed values.
   LineMetric metric(4);
-  Network<int> serial_net(metric);
-  Network<int> pipelined_net(metric);
-  OutboxSet<int> serial_outbox(4);
-  OutboxSet<int> pipelined_outbox(4);
+  Network<int> one_net(metric);
+  Network<int> split_net(metric);
+  OutboxSet<int> one_outbox(4);
+  OutboxSet<int> split_outbox(4);
   const auto send_all = [](OutboxSet<int>& outbox) {
     outbox.Send(2, 0, 20);
     outbox.Send(0, 1, 1);
@@ -435,46 +457,58 @@ TEST(Outbox, PartitionedFlushMatchesSerial) {
     outbox.Send(1, 3, 13);
     outbox.Send(3, 3, 33, /*payload_units=*/2);
   };
-  send_all(serial_outbox);
-  send_all(pipelined_outbox);
+  send_all(one_outbox);
+  send_all(split_outbox);
 
-  serial_outbox.Flush(serial_net, /*now=*/5);
-  pipelined_outbox.Seal();
-  // Reverse partition order: per-destination order must not care.
-  pipelined_outbox.FlushSealedTo(pipelined_net, /*now=*/5, 2, 4);
-  pipelined_outbox.FlushSealedTo(pipelined_net, /*now=*/5, 0, 2);
-  pipelined_outbox.FinishSealedFlush(pipelined_net);
-  EXPECT_TRUE(pipelined_outbox.Empty());
+  FlushOutbox(one_outbox, one_net, /*now=*/5);
+  FlushOutbox(split_outbox, split_net, /*now=*/5, /*parts=*/2, {1, 0});
+  EXPECT_TRUE(split_outbox.Empty());
 
-  EXPECT_EQ(serial_net.stats().messages_sent,
-            pipelined_net.stats().messages_sent);
-  EXPECT_EQ(serial_net.stats().payload_units,
-            pipelined_net.stats().payload_units);
-  EXPECT_EQ(serial_net.stats().max_in_flight,
-            pipelined_net.stats().max_in_flight);
+  EXPECT_EQ(one_net.stats().messages_sent, 5u);
+  EXPECT_EQ(one_net.stats().payload_units, 8u);
+  EXPECT_EQ(one_net.stats().max_in_flight, 5u);
+  EXPECT_EQ(one_net.next_seq(), 5u);
+  EXPECT_EQ(split_net.stats().messages_sent, one_net.stats().messages_sent);
+  EXPECT_EQ(split_net.stats().payload_units, one_net.stats().payload_units);
+  EXPECT_EQ(split_net.stats().max_in_flight, one_net.stats().max_in_flight);
+  EXPECT_EQ(split_net.next_seq(), one_net.next_seq());
+  // Per shard: {messages_in, messages_out, payload_in, payload_out}.
+  const std::uint64_t expected_traffic[4][4] = {
+      {1, 1, 1, 1}, {1, 1, 1, 1}, {0, 2, 0, 4}, {3, 1, 6, 2}};
   for (ShardId shard = 0; shard < 4; ++shard) {
-    EXPECT_EQ(serial_net.shard_traffic(shard).messages_in,
-              pipelined_net.shard_traffic(shard).messages_in);
-    EXPECT_EQ(serial_net.shard_traffic(shard).messages_out,
-              pipelined_net.shard_traffic(shard).messages_out);
-    EXPECT_EQ(serial_net.shard_traffic(shard).payload_in,
-              pipelined_net.shard_traffic(shard).payload_in);
-    EXPECT_EQ(serial_net.shard_traffic(shard).payload_out,
-              pipelined_net.shard_traffic(shard).payload_out);
-    EXPECT_EQ(serial_net.pending_for(shard),
-              pipelined_net.pending_for(shard));
+    for (const Network<int>* network : {&one_net, &split_net}) {
+      const ShardTraffic traffic = network->shard_traffic(shard);
+      EXPECT_EQ(traffic.messages_in, expected_traffic[shard][0]);
+      EXPECT_EQ(traffic.messages_out, expected_traffic[shard][1]);
+      EXPECT_EQ(traffic.payload_in, expected_traffic[shard][2]);
+      EXPECT_EQ(traffic.payload_out, expected_traffic[shard][3]);
+      EXPECT_EQ(network->pending_for(shard), expected_traffic[shard][0]);
+    }
   }
-  // Drain both across the whole delivery horizon: the seq-merged global
-  // order must be identical envelope by envelope.
-  for (Round now = 6; now < 10; ++now) {
-    const auto expected = serial_net.Deliver(now);
-    const auto actual = pipelined_net.Deliver(now);
-    ASSERT_EQ(expected.size(), actual.size()) << "round " << now;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(expected[i].payload, actual[i].payload);
-      EXPECT_EQ(expected[i].seq, actual[i].seq);
-      EXPECT_EQ(expected[i].from, actual[i].from);
-      EXPECT_EQ(expected[i].to, actual[i].to);
+  // Drain both across the whole delivery horizon. Flush index = lane
+  // order: 0->1 (seq 0, distance 1), 1->3 (seq 1, distance 2), 2->0
+  // (seq 2, distance 2), 2->3 (seq 3, distance 1), 3->3 (seq 4, self).
+  struct Expected {
+    Round now;
+    std::vector<int> payloads;
+    std::vector<std::uint64_t> seqs;
+  };
+  const Expected expected[] = {{6, {1, 23, 33}, {0, 3, 4}},
+                               {7, {13, 20}, {1, 2}},
+                               {8, {}, {}},
+                               {9, {}, {}}};
+  for (const Expected& round : expected) {
+    const auto one = one_net.Deliver(round.now);
+    const auto split = split_net.Deliver(round.now);
+    ASSERT_EQ(one.size(), round.payloads.size()) << "round " << round.now;
+    ASSERT_EQ(split.size(), one.size()) << "round " << round.now;
+    for (std::size_t i = 0; i < one.size(); ++i) {
+      EXPECT_EQ(one[i].payload, round.payloads[i]);
+      EXPECT_EQ(one[i].seq, round.seqs[i]);
+      EXPECT_EQ(split[i].payload, one[i].payload);
+      EXPECT_EQ(split[i].seq, one[i].seq);
+      EXPECT_EQ(split[i].from, one[i].from);
+      EXPECT_EQ(split[i].to, one[i].to);
     }
   }
 }
@@ -515,7 +549,7 @@ TEST(Outbox, LaneShrinkReleasesBurstCapacity) {
   for (std::size_t i = 0; i < kBurst; ++i) {
     outbox.Send(0, 1, static_cast<int>(i));
   }
-  outbox.Flush(network, /*now=*/0);
+  FlushOutbox(outbox, network, /*now=*/0);
   network.Deliver(1);
   const LaneMemory after_burst = outbox.lane_memory();
   EXPECT_GE(after_burst.high_water_items, kBurst);
@@ -525,7 +559,7 @@ TEST(Outbox, LaneShrinkReleasesBurstCapacity) {
   // released instead of staying pinned at the burst peak forever.
   for (Round round = 1; round < 60; ++round) {
     outbox.Send(0, 1, 1);
-    outbox.Flush(network, round);
+    FlushOutbox(outbox, network, round);
     network.Deliver(round + 1);
   }
   const LaneMemory settled = outbox.lane_memory();

@@ -2,8 +2,8 @@
 // to worker_threads = 1 for every scheduler (the decomposition contract of
 // core/scheduler.h), the pipelined epilogue (destination-partitioned flush
 // + double-buffered outbox/journal + overlapped adversary generation) must
-// be bit-identical to the serial EndRound, and parallel runs must satisfy
-// the same drained-run invariants as serial ones.
+// be bit-identical to the one-partition EndRound, and parallel runs must
+// satisfy the same drained-run invariants as serial ones.
 #include <gtest/gtest.h>
 
 #include <string>
