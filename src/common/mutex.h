@@ -4,7 +4,7 @@
 // -Wthread-safety analysis cannot see std::unique_lock acquisitions. These
 // thin wrappers re-expose std::mutex / std::condition_variable with the
 // capability annotations attached (the Abseil/Chromium pattern), which is
-// what lets ThreadPool declare its queue state SSHARD_GUARDED_BY(mutex_)
+// what lets ThreadPool declare its job state SSHARD_GUARDED_BY(mutex_)
 // and have an unlocked access fail compilation under clang.
 //
 // PhaseCapability is the lock-free sibling: a zero-size "role" capability

@@ -6,7 +6,7 @@
 // turn the repo's concurrency contracts into compile errors:
 //
 //   * common::Mutex / common::MutexLock / common::CondVar (common/mutex.h)
-//     are real annotated capabilities — ThreadPool's queue state is
+//     are real annotated capabilities — ThreadPool's published job is
 //     SSHARD_GUARDED_BY its mutex, so an unlocked touch fails to compile;
 //   * the phase-ordered components (net::Network's Deposit/Commit split,
 //     net::OutboxSet's sealed/open lanes, core::CommitLedger's journal

@@ -1,15 +1,13 @@
 #include "common/thread_pool.h"
 
+#include "common/check.h"
+
 namespace stableshard {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+ThreadPool::ThreadPool(std::size_t helpers) {
+  helpers_.reserve(helpers);
+  for (std::size_t h = 0; h < helpers; ++h) {
+    helpers_.emplace_back([this, h] { HelperLoop(h + 1); });
   }
 }
 
@@ -18,38 +16,50 @@ ThreadPool::~ThreadPool() {
     common::MutexLock lock(mutex_);
     shutting_down_ = true;
   }
-  work_available_.NotifyAll();
-  for (auto& worker : workers_) worker.join();
+  job_ready_.NotifyAll();
+  for (auto& helper : helpers_) helper.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
+void ThreadPool::Publish(std::size_t parts, Trampoline call,
+                         void* callable) {
+  SSHARD_CHECK(parts <= team_size() && "fan-out wider than the team");
   {
     common::MutexLock lock(mutex_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
+    call_ = call;
+    callable_ = callable;
+    parts_ = parts;
+    running_ = parts - 1;
+    ++generation_;
   }
-  work_available_.NotifyOne();
+  job_ready_.NotifyAll();
 }
 
-void ThreadPool::Wait() {
+void ThreadPool::AwaitHelpers() {
   common::MutexLock lock(mutex_);
-  while (in_flight_ != 0) all_done_.Wait(mutex_);
+  while (running_ != 0) job_done_.Wait(mutex_);
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::HelperLoop(std::size_t part) {
+  std::uint64_t seen = 0;
   for (;;) {
-    std::function<void()> task;
+    Trampoline call;
+    void* callable;
     {
       common::MutexLock lock(mutex_);
-      while (!shutting_down_ && queue_.empty()) work_available_.Wait(mutex_);
-      if (queue_.empty()) return;  // shutting down and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      while (!shutting_down_ && generation_ == seen) job_ready_.Wait(mutex_);
+      if (shutting_down_) return;
+      seen = generation_;
+      // A narrower job leaves this helper idle. The driving thread cannot
+      // publish the next job before this one's parts finish, so a helper
+      // that takes part never misses a generation.
+      if (part >= parts_) continue;
+      call = call_;
+      callable = callable_;
     }
-    task();
+    call(callable, part);
     {
       common::MutexLock lock(mutex_);
-      if (--in_flight_ == 0) all_done_.NotifyAll();
+      if (--running_ == 0) job_done_.NotifyOne();
     }
   }
 }

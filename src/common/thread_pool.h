@@ -1,24 +1,25 @@
-// Fixed-size thread pool for the parallel round loop and experiment sweeps.
+// Fixed-team fan-out for the parallel round loop and experiment sweeps.
 //
-// Two users: (1) the simulation engine fans Scheduler::StepShard out across
-// shards every round on a persistent pool (worker_threads > 1); (2) the
-// figure benches run dozens of independent (rho, b) simulations. Both
-// follow the "explicit parallelism, explicit ownership" style of the HPC
-// guides: tasks capture their inputs by value or index disjoint slots, so
-// no task shares mutable state with another.
+// A pool is a team of `helpers` threads plus the thread that calls Run.
+// Run(parts, fn) runs fn(p) for every p < parts: the calling thread runs
+// part 0 itself and helper h always runs part h + 1, so a fan-out that is
+// repeated every round (the engine's StepShard ranges and its flush
+// partitions) keeps each part on the same thread from round to round.
+// Publishing a fan-out is one mutex section and one NotifyAll, with no
+// allocation: the callable is passed by address through a trampoline.
 //
-// Use the instance ParallelFor for repeated fan-outs — it reuses the live
-// workers instead of paying thread creation/teardown per call (the static
-// overload exists for one-shot callers and spins up a throwaway pool).
-// Only one thread may drive a pool's Submit/Wait/ParallelFor at a time.
+// Two users: (1) the simulation engine steps its shard ranges and drains
+// its flush partitions on a persistent pool (worker_threads > 1); (2) the
+// experiment sweeps run dozens of independent simulations. Both follow the
+// "explicit parallelism, explicit ownership" style of the HPC guides: parts
+// index disjoint slots, so no part shares mutable state with another.
+// Only one thread may drive a pool's Run at a time.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <deque>
-#include <functional>
+#include <cstdint>
 #include <thread>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "common/mutex.h"
@@ -28,80 +29,66 @@ namespace stableshard {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (default: hardware concurrency, at least 1).
-  explicit ThreadPool(std::size_t threads = 0);
+  /// Spawns `helpers` helper threads; fan-outs may have up to helpers + 1
+  /// parts. Zero helpers is a valid (inline) team of one.
+  explicit ThreadPool(std::size_t helpers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task. Tasks must not throw (the simulator aborts on invariant
-  /// failure instead of throwing).
-  void Submit(std::function<void()> task);
+  /// Threads a fan-out can use: the helpers plus the calling thread.
+  std::size_t team_size() const { return helpers_.size() + 1; }
 
-  /// Block until every submitted task has finished.
-  void Wait();
-
-  std::size_t thread_count() const { return workers_.size(); }
-
-  /// Run `fn(i)` for i in [0, count) on this pool's live workers and wait.
-  /// Small iteration counts get one task per index (best balance for
-  /// coarse work like whole simulations); large counts are chunked into
-  /// contiguous ranges to amortize queue traffic (the per-round StepShard
-  /// fan-out). Chunking never affects results: iterations are independent
-  /// by contract.
-  template <typename Fn>
-  void ParallelFor(std::size_t count, Fn&& fn) {
-    if (count == 0) return;
-    const std::size_t fine_grain_limit = thread_count() * 8;
-    if (count <= fine_grain_limit) {
-      for (std::size_t i = 0; i < count; ++i) {
-        Submit([&fn, i] { fn(i); });
-      }
-    } else {
-      const std::size_t chunks = thread_count() * 4;
-      const std::size_t chunk = (count + chunks - 1) / chunks;
-      for (std::size_t begin = 0; begin < count; begin += chunk) {
-        const std::size_t end = std::min(begin + chunk, count);
-        Submit([&fn, begin, end] {
-          for (std::size_t i = begin; i < end; ++i) fn(i);
-        });
-      }
+  /// Run `fn(p)` for p in [0, parts), parts <= team_size(): part 0 on the
+  /// calling thread, part p on helper p - 1. Then `overlap()` runs on the
+  /// calling thread while the helpers may still be busy (the engine's
+  /// pipelined epilogue generates the next round there), and Run returns
+  /// once every part has finished. `fn` must not throw (the simulator
+  /// aborts on invariant failure instead of throwing).
+  template <typename Fn, typename Overlap>
+  void Run(std::size_t parts, Fn&& fn, Overlap&& overlap) {
+    using Callable = std::remove_reference_t<Fn>;
+    if (parts > 1) {
+      Publish(parts,
+              [](void* callable, std::size_t part) {
+                (*static_cast<Callable*>(callable))(part);
+              },
+              const_cast<void*>(static_cast<const void*>(&fn)));
     }
-    Wait();
+    if (parts > 0) fn(0);
+    overlap();
+    if (parts > 1) AwaitHelpers();
   }
 
-  /// Submit `fn(i)` for i in [0, count) WITHOUT waiting: the caller overlaps
-  /// its own serial work with the tasks and then calls Wait() — the engine's
-  /// pipelined round epilogue runs the adversary's next-round generation on
-  /// the driving thread while flush partitions drain here. Each task owns a
-  /// copy of `fn`, so the callable need not outlive the call.
   template <typename Fn>
-  void Dispatch(std::size_t count, Fn fn) {
-    for (std::size_t i = 0; i < count; ++i) {
-      Submit([fn, i] { fn(i); });
-    }
-  }
-
-  /// One-shot convenience: run on a throwaway pool of `threads` workers.
-  template <typename Fn>
-  static void ParallelFor(std::size_t count, Fn&& fn, std::size_t threads) {
-    ThreadPool pool(threads);
-    pool.ParallelFor(count, std::forward<Fn>(fn));
+  void Run(std::size_t parts, Fn&& fn) {
+    Run(parts, fn, [] {});
   }
 
  private:
-  void WorkerLoop();
+  using Trampoline = void (*)(void* callable, std::size_t part);
+
+  /// Hand parts 1..parts-1 of a new job to the helpers.
+  void Publish(std::size_t parts, Trampoline call, void* callable);
+  /// Block until every helper part of the current job has finished.
+  void AwaitHelpers();
+  void HelperLoop(std::size_t part);
 
   common::Mutex mutex_;
-  common::CondVar work_available_;
-  common::CondVar all_done_;
-  std::deque<std::function<void()>> queue_ SSHARD_GUARDED_BY(mutex_);
-  /// Immutable after the constructor returns (workers never join until the
-  /// destructor), so thread_count() reads it without the mutex.
-  std::vector<std::thread> workers_;
-  std::size_t in_flight_ SSHARD_GUARDED_BY(mutex_) = 0;
+  common::CondVar job_ready_;
+  common::CondVar job_done_;
+  Trampoline call_ SSHARD_GUARDED_BY(mutex_) = nullptr;
+  void* callable_ SSHARD_GUARDED_BY(mutex_) = nullptr;
+  std::size_t parts_ SSHARD_GUARDED_BY(mutex_) = 0;
+  /// Bumped once per published job; a helper runs each generation once.
+  std::uint64_t generation_ SSHARD_GUARDED_BY(mutex_) = 0;
+  /// Helper parts of the current job not yet finished.
+  std::size_t running_ SSHARD_GUARDED_BY(mutex_) = 0;
   bool shutting_down_ SSHARD_GUARDED_BY(mutex_) = false;
+  /// Immutable after the constructor returns (helpers never join until the
+  /// destructor), so team_size() reads it without the mutex.
+  std::vector<std::thread> helpers_;
 };
 
 }  // namespace stableshard

@@ -139,19 +139,22 @@ struct SimConfig {
   Round rounds = 25000;
   std::uint64_t seed = 42;
   /// Threads driving Scheduler::StepShard inside one round (1 = fully
-  /// serial). Any value produces bit-identical results — the decomposition
-  /// is deterministic by construction (see core/scheduler.h).
+  /// serial): the driving thread plus worker_threads - 1 pool helpers, each
+  /// stepping one fixed contiguous shard range. Any value produces
+  /// bit-identical results — the decomposition is deterministic by
+  /// construction (see core/scheduler.h).
   std::uint32_t worker_threads = 1;
-  /// Partition the round epilogue's flush on the worker pool and overlap
-  /// the next round's adversary generation with it (worker_threads > 1
-  /// only). Off, the driving thread runs the same epilogue with one
-  /// partition. Bit-identical either way — the switch exists for the
+  /// Partition the round epilogue's flush across the same threads and
+  /// shard ranges as the step, and overlap the next round's adversary
+  /// generation with it: the driving thread flushes partition 0, then
+  /// generates while the helpers finish (worker_threads > 1 only). Off,
+  /// the driving thread runs the same epilogue with one partition. Bit-identical either way — the switch exists for the
   /// before/after comparison in bench/parallel_rounds --phases.
   bool pipeline = true;
   /// Small-grid pool overhead guard: when shards / worker_threads falls
-  /// below this, the engine skips the worker pool entirely and runs the
-  /// serial step path — per-round dispatch/wake overhead exceeds the
-  /// parallel win on small grids (BENCH_pipeline.json: workers=4 was 0.74x
+  /// below this, the engine builds no helper threads and the driving
+  /// thread steps every shard — the per-round wake/barrier cost of the
+  /// fan-out exceeds the parallel win on small grids (BENCH_pipeline.json: workers=4 was 0.74x
   /// at s=256, i.e. *slower* than serial). Results are bit-identical either
   /// way (the decomposition is deterministic), so this is purely a
   /// wall-clock policy. The default keeps s=1024 x 8 workers parallel and

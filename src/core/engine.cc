@@ -5,6 +5,7 @@
 
 #include "adversary/strategy_registry.h"
 #include "common/check.h"
+#include "common/shard_range.h"
 #include "core/scheduler_registry.h"
 #include "durability/recovery.h"
 
@@ -149,14 +150,16 @@ Simulation::Simulation(const SimConfig& config)
   scheduler_ =
       SchedulerRegistry::Global().Build(config.scheduler, config_, deps);
 
-  // Pool-overhead guard: on small grids the per-round dispatch/wake cost
-  // exceeds the parallel win (BENCH_pipeline.json showed 0.74x at s=256
-  // with 4 workers), so below min_shards_per_worker shards per worker the
-  // pool is never built and the serial step path runs. Bit-identical
-  // results either way — this only changes wall-clock.
+  // Pool-overhead guard: on small grids the per-round fan-out cost exceeds
+  // the parallel win (BENCH_pipeline.json showed 0.74x at s=256 with 4
+  // workers), so below min_shards_per_worker shards per worker the pool is
+  // never built and the driving thread steps every shard. Otherwise the
+  // driving thread is worker 0 and the pool holds worker_threads - 1
+  // helpers. Bit-identical results either way — this only changes
+  // wall-clock and CPU.
   if (config.worker_threads > 1 &&
       config.shards / config.worker_threads >= config.min_shards_per_worker) {
-    pool_ = std::make_unique<ThreadPool>(config.worker_threads);
+    pool_ = std::make_unique<ThreadPool>(config.worker_threads - 1);
   }
 }
 
@@ -194,32 +197,43 @@ void Simulation::StepRound(Round round, Round generate_round) {
   mark = Clock::now();
   const ShardId shards = scheduler_->shard_count();
   Scheduler* scheduler = scheduler_.get();
-  if (pool_) {
-    pool_->ParallelFor(shards, [scheduler, round](std::size_t shard) {
-      scheduler->StepShard(static_cast<ShardId>(shard), round);
-    });
-  } else {
-    for (ShardId shard = 0; shard < shards; ++shard) {
-      scheduler_->StepShard(shard, round);
+  // One partition rule for the step and the flush: part p steps the shards
+  // of FlushShardRange(shards, p, parts) and, in the pipelined epilogue,
+  // deposits into exactly those shards' rings, on the same team thread —
+  // so a shard's ring is filled and drained by one thread.
+  const auto parts = static_cast<std::uint32_t>(
+      pool_ ? std::min<std::size_t>(pool_->team_size(), shards) : 1);
+  const auto step_part = [scheduler, shards, round, parts](std::size_t part) {
+    const auto [begin, end] =
+        FlushShardRange(shards, static_cast<std::uint32_t>(part), parts);
+    for (ShardId shard = begin; shard < end; ++shard) {
+      scheduler->StepShard(shard, round);
     }
+  };
+  if (pool_) {
+    pool_->Run(parts, step_part);
+  } else {
+    step_part(0);
   }
   phase_times_.step += SecondsSince(mark);
 
   if (pool_ && config_.pipeline) {
     // Pipelined epilogue: seal the round's double buffers, drain them
-    // destination-partitioned on the pool, and overlap the next round's
-    // adversary generation on this thread (it touches only adversary
-    // state). The serial remainder shrinks to FinishRound.
+    // destination-partitioned on the team, and overlap the next round's
+    // adversary generation on this thread once its own partition is done
+    // (generation touches only adversary state). The serial remainder
+    // shrinks to FinishRound.
     mark = Clock::now();
-    const auto parts = static_cast<std::uint32_t>(
-        std::min<std::size_t>(pool_->thread_count(), shards));
     scheduler_->SealRound(round, parts);
-    pool_->Dispatch(parts, [scheduler, round, parts](std::size_t part) {
-      scheduler->FlushRoundPartition(round, static_cast<std::uint32_t>(part),
-                                     parts);
-    });
-    if (generate_round != kNoRound) Generate(generate_round);
-    pool_->Wait();
+    pool_->Run(
+        parts,
+        [scheduler, round, parts](std::size_t part) {
+          scheduler->FlushRoundPartition(
+              round, static_cast<std::uint32_t>(part), parts);
+        },
+        [this, generate_round] {
+          if (generate_round != kNoRound) Generate(generate_round);
+        });
     phase_times_.flush += SecondsSince(mark);
 
     mark = Clock::now();

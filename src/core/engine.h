@@ -8,9 +8,11 @@
 //      select it (see traffic/injector.h);
 //   2. each is registered with the ledger and injected at its home shard;
 //   3. the scheduler executes one round: BeginRound (serial), StepShard for
-//      every shard — fanned out across the persistent worker pool when
-//      SimConfig::worker_threads > 1, serial otherwise, with bit-identical
-//      results either way — then the round epilogue;
+//      every shard — split into worker_threads contiguous shard ranges
+//      when SimConfig::worker_threads > 1, the driving thread stepping
+//      range 0 and each pool helper one fixed other range; serial
+//      otherwise, with bit-identical results either way — then the round
+//      epilogue;
 //   4. metrics are sampled (pending transactions, leader queues). Sampling
 //      covers every executed round, drain-phase rounds included — the
 //      per-round averages, max_pending and the pending series describe the
@@ -18,10 +20,12 @@
 //
 // The epilogue is the scheduler's SealRound / FlushRoundPartition /
 // FinishRound triple, driven one of two ways. With a worker pool and
-// SimConfig::pipeline, the engine runs one partition per worker on the
-// pool while the driving thread generates the NEXT round's transactions
-// into a reusable buffer (generation touches only adversary state, so the
-// overlap is race-free and invisible to the results). Otherwise it calls
+// SimConfig::pipeline, the engine runs one partition per team thread
+// (the step's shard ranges, so each shard's ring is filled and drained by
+// one thread); the driving thread flushes partition 0 and then generates
+// the NEXT round's transactions into a reusable buffer (generation
+// touches only adversary state, so the overlap is race-free and invisible
+// to the results). Otherwise it calls
 // Scheduler::EndRound, the same triple with one partition. Injection,
 // metric sampling and BeginRound of the next round stay strictly after
 // FinishRound, so the ledger values every sample sees are the same either
@@ -63,7 +67,8 @@ namespace stableshard::core {
 /// Wall-clock decomposition of Run() as seen from the driving thread,
 /// accumulated across all executed rounds (bench/parallel_rounds --phases).
 /// In the pooled epilogue `generate` happens inside the `flush` window
-/// (it overlaps the pool's partition drain), so the two overlap; when the
+/// (after the driving thread's own partition, overlapping the helpers'),
+/// so the two overlap; when the
 /// engine calls EndRound `flush` is 0 and `finish` holds the whole
 /// one-partition epilogue.
 struct PhaseTimes {
@@ -71,7 +76,7 @@ struct PhaseTimes {
   double inject = 0;    ///< RegisterInjection + Scheduler::Inject
   double begin = 0;     ///< BeginRound
   double step = 0;      ///< StepShard fan-out (wall time)
-  double flush = 0;     ///< SealRound .. pool Wait (overlaps generate)
+  double flush = 0;     ///< SealRound .. flush fan-out (overlaps generate)
   double finish = 0;    ///< FinishRound (pooled) or EndRound (one partition)
   double sample = 0;    ///< per-round metric sampling
   double total = 0;     ///< the whole round loop, drain included
@@ -157,7 +162,8 @@ class Simulation {
   std::unique_ptr<traffic::TraceWriter> trace_writer_;  ///< trace_out only
   bool open_loop_ = false;
   std::unique_ptr<Scheduler> scheduler_;
-  std::unique_ptr<ThreadPool> pool_;  ///< persistent; worker_threads > 1
+  /// worker_threads - 1 persistent helpers; null when the step is serial.
+  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<durability::MemoryStorage> storage_;  ///< wal only
   std::unique_ptr<durability::WalManager> wal_;         ///< wal only
   std::unique_ptr<durability::LivenessTracker> liveness_;

@@ -1,6 +1,8 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "common/thread_pool.h"
 
@@ -22,23 +24,26 @@ std::vector<ExperimentRun> RunSweep(const std::vector<SimConfig>& configs,
   const bool inner_parallel =
       std::any_of(configs.begin(), configs.end(),
                   [](const SimConfig& c) { return c.worker_threads > 1; });
-  if (inner_parallel) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
+  if (threads == 0) {
+    threads = std::max(1u, std::thread::hardware_concurrency());
+  }
+
+  // One team for the whole sweep: simulations are coarse and uneven, so
+  // each part claims the next config index from a shared cursor until the
+  // batch is exhausted. With inner parallelism the team is the calling
+  // thread alone and the configs run in order.
+  const std::size_t parts =
+      inner_parallel ? 1 : std::min(threads, configs.size());
+  if (parts == 0) return runs;
+  ThreadPool pool(parts - 1);
+  std::atomic<std::size_t> cursor{0};
+  pool.Run(parts, [&](std::size_t) {
+    for (std::size_t i = cursor.fetch_add(1); i < configs.size();
+         i = cursor.fetch_add(1)) {
       runs[i].config = configs[i];
       Simulation simulation(configs[i]);
       runs[i].result = simulation.Run();
     }
-    return runs;
-  }
-
-  // One live pool for the whole sweep: simulations are coarse tasks, so the
-  // instance ParallelFor hands each config its own task (no chunking) while
-  // reusing the same workers across the batch.
-  ThreadPool pool(threads);
-  pool.ParallelFor(configs.size(), [&](std::size_t i) {
-    runs[i].config = configs[i];
-    Simulation simulation(configs[i]);
-    runs[i].result = simulation.Run();
   });
   return runs;
 }

@@ -252,6 +252,9 @@ class Network {
     if (ring.empty()) return;  // never contacted: nothing can be due
     std::vector<Envelope>& bucket = ring[now % ring.size()];
     std::swap(bucket, out);
+    // Nothing due: skip the counter writes. delivered_total_ is one cache
+    // line shared by every stepping thread.
+    if (out.empty()) return;
     for ([[maybe_unused]] const Envelope& envelope : out) {
       // A stale envelope here means some (shard, round) was never drained
       // and the ring slot got reused — a round-loop bug, not a data bug.

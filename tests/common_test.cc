@@ -9,6 +9,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/arena.h"
@@ -268,51 +269,57 @@ TEST(Csv, WritesHeaderAndRows) {
   EXPECT_EQ(line, "y,3,4");
 }
 
-TEST(ThreadPool, RunsAllTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), 100);
-  }
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  std::vector<std::atomic<int>> hits(64);
-  ThreadPool::ParallelFor(64, [&](std::size_t i) { hits[i].fetch_add(1); },
-                          8);
+TEST(ThreadPool, RunsEveryPartOnce) {
+  ThreadPool pool(7);
+  std::vector<std::atomic<int>> hits(8);
+  pool.Run(8, [&](std::size_t part) { hits[part].fetch_add(1); });
   for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
-TEST(ThreadPool, InstanceParallelForReusesLivePool) {
-  ThreadPool pool(3);
-  // Repeated fan-outs on the same workers, covering both the per-index
-  // path (count <= 8 * threads) and the chunked path (count above it).
-  for (const std::size_t count : {std::size_t{5}, std::size_t{1000}}) {
-    std::vector<std::atomic<int>> hits(count);
-    pool.ParallelFor(count, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+TEST(ThreadPool, TeamIsReusableAcrossCalls) {
+  ThreadPool pool(2);
+  EXPECT_EQ(pool.team_size(), 3u);
+  // Repeated fan-outs on the same team, full width and narrower (a
+  // narrower job leaves the surplus helpers idle for that call).
+  std::vector<std::atomic<int>> hits(3);
+  const std::size_t widths[] = {3, 1, 2, 3, 3};
+  for (const std::size_t parts : widths) {
+    pool.Run(parts, [&](std::size_t part) { hits[part].fetch_add(1); });
   }
-  EXPECT_EQ(pool.thread_count(), 3u);
+  EXPECT_EQ(hits[0].load(), 5);
+  EXPECT_EQ(hits[1].load(), 4);
+  EXPECT_EQ(hits[2].load(), 3);
 }
 
-TEST(ThreadPool, InstanceParallelForZeroCountIsNoop) {
+TEST(ThreadPool, ZeroPartsIsNoop) {
   ThreadPool pool(2);
-  pool.ParallelFor(0, [](std::size_t) { FAIL() << "must not run"; });
+  pool.Run(0, [](std::size_t) { FAIL() << "must not run"; });
 }
 
-TEST(ThreadPool, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
+TEST(ThreadPool, PartZeroRunsOnCallingThread) {
+  ThreadPool pool(3);
+  std::vector<std::thread::id> first(4);
+  std::vector<std::thread::id> second(4);
+  pool.Run(4, [&](std::size_t part) {
+    first[part] = std::this_thread::get_id();
+  });
+  pool.Run(4, [&](std::size_t part) {
+    second[part] = std::this_thread::get_id();
+  });
+  EXPECT_EQ(first[0], std::this_thread::get_id());
+  // Each helper owns one part: four distinct threads, the same ones on
+  // every call.
+  EXPECT_EQ(std::set<std::thread::id>(first.begin(), first.end()).size(),
+            4u);
+  EXPECT_EQ(first, second);
+}
+
+TEST(ThreadPool, NoHelpersRunsInline) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.team_size(), 1u);
+  std::thread::id ran_on;
+  pool.Run(1, [&](std::size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(Mix64, DistinctInputsMix) {

@@ -3,13 +3,22 @@
 // core/scheduler.h), the pipelined epilogue (destination-partitioned flush
 // + double-buffered outbox/journal + overlapped adversary generation) must
 // be bit-identical to the one-partition EndRound, and parallel runs must
-// satisfy the same drained-run invariants as serial ones.
+// satisfy the same drained-run invariants as serial ones. The fan-out
+// itself is pinned down with a probe scheduler: every shard is stepped once
+// per round, the driving thread steps range 0, and each shard range is
+// stepped and flushed by one fixed team thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <vector>
 
+#include "common/shard_range.h"
 #include "core/engine.h"
+#include "core/scheduler_registry.h"
 #include "sim_test_util.h"
 
 namespace stableshard {
@@ -47,8 +56,12 @@ TEST_P(ParallelDeterminism, MatchesSerialExecution) {
   config.rounds = 800;
   config.drain_cap = 60000;
   const SimResult serial = RunWithWorkers(config, 1);
-  const SimResult parallel = RunWithWorkers(config, 4);
-  ExpectBitIdenticalResults(serial, parallel);
+  // Odd counts split the 16 shards unevenly (6+6+4, and 4+4+4+4 with an
+  // empty fifth range).
+  for (const std::uint32_t workers : {3u, 4u, 5u}) {
+    SCOPED_TRACE(workers);
+    ExpectBitIdenticalResults(serial, RunWithWorkers(config, workers));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -98,6 +111,123 @@ INSTANTIATE_TEST_SUITE_P(
            info) {
       return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
+
+/// Scheduler that does no protocol work and records which thread stepped
+/// each shard and flushed each partition, round by round. Each shard (and
+/// each partition) has its own record vector, written only by the thread
+/// that owns it in that phase.
+class FanOutProbe final : public core::Scheduler {
+ public:
+  struct Visit {
+    Round round;
+    std::thread::id thread;
+  };
+
+  explicit FanOutProbe(ShardId shards) : steps_(shards), flushes_(shards) {}
+
+  void Inject(const txn::Transaction&) override {}
+  void BeginRound(Round) override {}
+  void StepShard(ShardId shard, Round round) override {
+    steps_[shard].push_back({round, std::this_thread::get_id()});
+  }
+  void SealRound(Round, std::uint32_t) override {}
+  void FlushRoundPartition(Round round, std::uint32_t part,
+                           std::uint32_t) override {
+    flushes_[part].push_back({round, std::this_thread::get_id()});
+  }
+  void FinishRound(Round) override {}
+  ShardId shard_count() const override {
+    return static_cast<ShardId>(steps_.size());
+  }
+  bool Idle() const override { return true; }
+  std::uint64_t MessagesSent() const override { return 0; }
+  std::uint64_t PayloadUnits() const override { return 0; }
+  const char* name() const override { return "fanout_probe"; }
+
+  const std::vector<Visit>& steps(ShardId shard) const {
+    return steps_[shard];
+  }
+  const std::vector<Visit>& flushes(std::uint32_t part) const {
+    return flushes_[part];
+  }
+
+ private:
+  std::vector<std::vector<Visit>> steps_;
+  std::vector<std::vector<Visit>> flushes_;
+};
+
+const core::SchedulerRegistrar kFanOutProbe{
+    "fanout_probe",
+    [](const SimConfig& config, core::SchedulerDeps&) {
+      return std::make_unique<FanOutProbe>(config.shards);
+    }};
+
+class FanOutCoverage
+    : public ::testing::TestWithParam<std::tuple<ShardId, std::uint32_t>> {};
+
+TEST_P(FanOutCoverage, EachRangeRunsOncePerRoundOnOneFixedThread) {
+  const auto& [shards, workers] = GetParam();
+  SimConfig config = SmallConfig("fanout_probe");
+  config.shards = shards;
+  config.accounts = shards;
+  config.rounds = 12;
+  config.drain_cap = 0;
+  config.worker_threads = workers;
+  config.min_shards_per_worker = 1;
+  Simulation sim(config);
+  // More workers than shards: the pool guard keeps the run serial.
+  const std::uint32_t parts = workers <= shards ? workers : 1;
+  ASSERT_EQ(sim.effective_workers(), parts);
+  sim.Run();
+  const auto& probe = dynamic_cast<const FanOutProbe&>(sim.scheduler());
+
+  std::vector<std::thread::id> range_thread(parts);
+  for (std::uint32_t part = 0; part < parts; ++part) {
+    const auto [begin, end] = FlushShardRange(shards, part, parts);
+    for (ShardId shard = begin; shard < end; ++shard) {
+      const std::vector<FanOutProbe::Visit>& visits = probe.steps(shard);
+      ASSERT_EQ(visits.size(), config.rounds) << "shard " << shard;
+      for (Round round = 0; round < config.rounds; ++round) {
+        EXPECT_EQ(visits[round].round, round) << "shard " << shard;
+        if (shard == begin && round == 0) {
+          range_thread[part] = visits[round].thread;
+        }
+        EXPECT_EQ(visits[round].thread, range_thread[part])
+            << "shard " << shard << " round " << round;
+      }
+    }
+    // The flush partition that deposits into this range's rings runs on
+    // the thread that drains them in the next step.
+    const std::vector<FanOutProbe::Visit>& flushes = probe.flushes(part);
+    ASSERT_EQ(flushes.size(), config.rounds) << "part " << part;
+    for (Round round = 0; round < config.rounds; ++round) {
+      EXPECT_EQ(flushes[round].round, round);
+      if (begin < end) {
+        EXPECT_EQ(flushes[round].thread, range_thread[part])
+            << "part " << part << " round " << round;
+      }
+    }
+  }
+  EXPECT_EQ(range_thread[0], std::this_thread::get_id());
+  // Non-empty ranges run on distinct team threads.
+  std::vector<std::thread::id> used;
+  for (std::uint32_t part = 0; part < parts; ++part) {
+    const auto [begin, end] = FlushShardRange(shards, part, parts);
+    if (begin < end) used.push_back(range_thread[part]);
+  }
+  std::sort(used.begin(), used.end());
+  EXPECT_EQ(std::adjacent_find(used.begin(), used.end()), used.end());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, FanOutCoverage,
+    ::testing::Combine(::testing::Values(ShardId{7}, ShardId{13},
+                                         ShardId{64}),
+                       ::testing::Values(2u, 3u, 5u)));
+INSTANTIATE_TEST_SUITE_P(
+    MoreWorkersThanShards, FanOutCoverage,
+    ::testing::Values(std::make_tuple(ShardId{7}, 8u),
+                      std::make_tuple(ShardId{4}, 5u)));
 
 TEST(ParallelEngine, PipelinedBurstAndDrainIdentical) {
   // A loaded burst followed by a long drain exercises both epilogue

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <thread>
 #include <vector>
@@ -98,11 +99,14 @@ TEST(StaticAnalysis, CondVarWakesWaiter) {
 }
 
 TEST(StaticAnalysis, AnnotatedThreadPoolRunsFanOut) {
-  ThreadPool pool(4);
+  ThreadPool pool(3);
   constexpr std::size_t kCount = 1000;
+  constexpr std::size_t kParts = 4;
   std::vector<std::atomic<int>> hits(kCount);
-  pool.ParallelFor(kCount, [&hits](std::size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
+  pool.Run(kParts, [&hits](std::size_t part) {
+    for (std::size_t i = part; i < kCount; i += kParts) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    }
   });
   for (std::size_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(hits[i].load(std::memory_order_relaxed), 1)
@@ -110,16 +114,39 @@ TEST(StaticAnalysis, AnnotatedThreadPoolRunsFanOut) {
   }
 }
 
-TEST(StaticAnalysis, AnnotatedThreadPoolDispatchOverlapsThenWaits) {
+TEST(StaticAnalysis, AnnotatedThreadPoolOverlapRunsWhileHelpersWork) {
   ThreadPool pool(2);
+  std::atomic<bool> overlap_ran{false};
+  std::atomic<int> saw_overlap{0};
   std::atomic<int> done{0};
-  pool.Dispatch(8, [&done](std::size_t) {
-    done.fetch_add(1, std::memory_order_relaxed);
-  });
-  // The driving thread may do its own work here (the engine generates the
-  // next round's transactions); Wait is the barrier.
-  pool.Wait();
-  EXPECT_EQ(done.load(std::memory_order_relaxed), 8);
+  pool.Run(
+      3,
+      [&](std::size_t part) {
+        if (part != 0) {
+          // Helpers hold their part open until the overlap hook has run,
+          // so the hook must run before Run waits for them (bounded, so a
+          // regression fails instead of hanging).
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!overlap_ran.load(std::memory_order_acquire) &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          if (overlap_ran.load(std::memory_order_acquire)) {
+            saw_overlap.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        done.fetch_add(1, std::memory_order_relaxed);
+      },
+      [&] {
+        // The driving thread's own work (the engine generates the next
+        // round's transactions here); part 0 has already finished.
+        EXPECT_GE(done.load(std::memory_order_relaxed), 1);
+        overlap_ran.store(true, std::memory_order_release);
+      });
+  // Run is the barrier: every part has finished when it returns.
+  EXPECT_EQ(done.load(std::memory_order_relaxed), 3);
+  EXPECT_EQ(saw_overlap.load(std::memory_order_relaxed), 2);
 }
 
 }  // namespace
